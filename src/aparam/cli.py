@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import repcore
@@ -43,27 +42,29 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_table(args) -> SymbolTable:
-    tables = []
-    if getattr(args, "symbols", None):
-        tables.append(_load_json(args.symbols))
+def _load_inputs(args):
+    """The symbol table and a parameter loader; each input file is parsed once.
+
+    Symbols come from ``--symbols`` and from the "symbols" key of the
+    parameter files named by ``m``, ``n`` and ``param``.
+    """
+    tables = [_load_json(args.symbols)] if getattr(args, "symbols", None) else []
+    docs = {}
     for attr in ("m", "n", "param"):
         path = getattr(args, attr, None)
         if path and Path(path).is_file():
-            try:
-                data = _load_json(path)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(data, dict) and "symbols" in data:
-                tables.append(data)
+            docs[path] = _load_json(path)
+    tables += [d for d in docs.values() if isinstance(d, dict) and "symbols" in d]
     syms = []
     for data in tables:
         syms.extend(SymbolTable.from_json(data).symbols())
-    return SymbolTable([s for s in syms if not s.is_trivial])
+    symtab = SymbolTable([s for s in syms if not s.is_trivial])
 
+    def load(path: str) -> AParam:
+        data = docs[path] if path in docs else _load_json(path)
+        return repcore.param_from_json(data, symtab)
 
-def _load_param(path: str, symtab: SymbolTable) -> AParam:
-    return repcore.param_from_json(_load_json(path), symtab)
+    return symtab, load
 
 
 def _witness_json(w: rel.RelevanceWitness) -> list[dict]:
@@ -95,7 +96,7 @@ def _character_json(c) -> list[dict] | None:
 
 
 def _cmd_parse(args) -> int:
-    symtab = _load_table(args)
+    symtab, _ = _load_inputs(args)
     p = parse_param(args.expr, symtab, args.parity)
     payload = repcore.param_to_json(p)
     payload.update({"dim": p.dim, "canonical": render_param(p)})
@@ -104,13 +105,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_relevance_check(args) -> int:
-    symtab = _load_table(args)
-    m = _load_param(args.m, symtab)
+    _, load = _load_inputs(args)
+    m = load(args.m)
     npath = Path(args.n)
     if npath.is_dir():
         rows, relevant_count = [], 0
         for child in sorted(npath.glob("*.json")):
-            n = _load_param(str(child), symtab)
+            n = load(str(child))
             verdict = rel.check_relevant(m, n)
             rows.append(
                 {"file": child.name, "param": render_param(n), "relevant": bool(verdict)}
@@ -118,7 +119,7 @@ def _cmd_relevance_check(args) -> int:
             relevant_count += bool(verdict)
         _emit({"batch": rows, "relevant_count": relevant_count})
         return EXIT_OK if relevant_count else EXIT_NO
-    n = _load_param(args.n, symtab)
+    n = load(args.n)
     verdict = rel.check_relevant(m, n)
     if verdict:
         _emit({"relevant": True, "witness": _witness_json(verdict)})
@@ -128,8 +129,8 @@ def _cmd_relevance_check(args) -> int:
 
 
 def _cmd_relevance_special(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     pairs = rel.special_pairs(m, n)
     _emit(
         {
@@ -148,16 +149,16 @@ def _cmd_relevance_special(args) -> int:
 
 
 def _cmd_relevance_delta(args) -> int:
-    symtab = _load_table(args)
-    m = _load_param(args.m, symtab)
+    _, load = _load_inputs(args)
+    m = load(args.m)
     members = rel.delta_class_search(m, bound=args.bound)
     _emit({"count": len(members), "members": [render_param(q) for q in members]})
     return EXIT_OK
 
 
 def _cmd_lfun_ord(args) -> int:
-    symtab = _load_table(args)
-    p = _load_param(args.param, symtab)
+    _, load = _load_inputs(args)
+    p = load(args.param)
     s0 = repcore.parse_half(args.at)
     order = lfun.ord_at(lfun.to_formal(p), s0)
     _emit({"at": fmt_half(s0), "order": order})
@@ -165,29 +166,24 @@ def _cmd_lfun_ord(args) -> int:
 
 
 def _cmd_lfun_gl_ratio(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
-    num = lfun.ord_at(lfun.tensor_formal(m, repcore.dual_param(n)), Fraction(1, 2)) + lfun.ord_at(
-        lfun.tensor_formal(repcore.dual_param(m), n), Fraction(1, 2)
-    )
-    den = lfun.ord_at(lfun.tensor_formal(m, repcore.dual_param(m)), 1) + lfun.ord_at(
-        lfun.tensor_formal(n, repcore.dual_param(n)), 1
-    )
-    _emit({"numerator_order": num, "denominator_order": den, "signed_order": num - den})
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
+    num, den, signed = lfun.gl_ratio_order(m, n, detail=True)
+    _emit({"numerator_order": num, "denominator_order": den, "signed_order": signed})
     return EXIT_OK
 
 
 def _cmd_lfun_bessel(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     num, den, signed = lfun.bessel_ratio_order(m, n, detail=True)
     _emit({"numerator_order": num, "denominator_order": den, "signed_order": signed})
     return EXIT_OK
 
 
 def _cmd_globlfun_ratio(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     expr = globlfun.global_ratio_order(m, n)
     payload = {"expression": expr.render(), "constant": expr.const}
     if args.bind:
@@ -207,8 +203,8 @@ def _load_signs(args) -> chars_mod.SignTable:
 
 
 def _cmd_chars_predict(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     out = chars_mod.predict_multiplicity(m, n, _load_signs(args))
     payload = {"d": out["d"], "character": _character_json(out.get("character"))}
     if "reason" in out:
@@ -218,16 +214,16 @@ def _cmd_chars_predict(args) -> int:
 
 
 def _cmd_chars_automorphy(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     out = chars_mod.automorphy_test(m, n, _load_signs(args))
     _emit(out)
     return EXIT_OK if out["automorphic"] else EXIT_NO
 
 
 def _cmd_chars_supercuspidal(args) -> int:
-    symtab = _load_table(args)
-    m = _load_param(args.m, symtab)
+    _, load = _load_inputs(args)
+    m = load(args.m)
     if args.alpha:
         data = _load_json(args.alpha)
         alpha = chars_mod.CharacterAssignment.of(
@@ -250,16 +246,16 @@ def _cmd_chars_supercuspidal(args) -> int:
 
 
 def _cmd_chars_ggp(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     c = chars_mod.ggp_character(m, n, _load_signs(args))
     _emit({"character": _character_json(c)})
     return EXIT_OK
 
 
 def _cmd_glbranch_decide(args) -> int:
-    symtab = _load_table(args)
-    m, n = _load_param(args.m, symtab), _load_param(args.n, symtab)
+    _, load = _load_inputs(args)
+    m, n = load(args.m), load(args.n)
     out = glbranch.decide_gl_branching(m, n)
     _emit(out)
     if out["inconclusive"]:
@@ -268,7 +264,7 @@ def _cmd_glbranch_decide(args) -> int:
 
 
 def _cmd_glbranch_support(args) -> int:
-    symtab = _load_table(args)
+    symtab, _ = _load_inputs(args)
     prod = glbranch.parse_product(args.product, symtab)
     sup = glbranch.support(prod)
     _emit(
@@ -286,7 +282,7 @@ def _cmd_glbranch_support(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    symtab = _load_table(args)
+    symtab, _ = _load_inputs(args)
     parity = args.parity
     partner = {"symplectic": "orthogonal", "orthogonal": "symplectic",
                "conjugate-symplectic": "conjugate-orthogonal",

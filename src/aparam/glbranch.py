@@ -10,6 +10,12 @@ follow the two rules
     St_d[rho] -> j * dim(rho) steps:   nu^(j/2) St_(d-j)[rho]
 
 and a product differentiates by distributing steps over its factors.
+
+One walk does this for both the derivative and "dual, derive, dual" (the
+two differ only in the sign of the twist change).  Inside it factors are
+int tuples with doubled twists, equal factors are handled once per group
+with their multiplicity, and a single pass returns the reachable factor
+multisets for every step count up to a bound, as layers keyed by steps.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .repcore import (
     AParam,
@@ -146,50 +153,73 @@ def _support_key(p: GLProduct):
     )
 
 
+def _derivative_layers(factors, z_step: int, kmax: int) -> list[set[tuple]]:
+    """Canonical factor multisets after k derivative steps, for every k <= kmax.
+
+    Inside the walk a factor is the tuple (line id, kind, length, 2 * twist),
+    ordered as GLFactor.sort_key, and a multiset is a sorted tuple of them;
+    the layers are returned in this form.  z_step is the doubled twist
+    change of a stepping Z-factor: -1 for the derivative, +1 for "dual,
+    derive, dual", where an L-factor moves by -j * z_step.  Equal factors
+    form one group, so c copies of a Z-factor offer c + 1 choices and c
+    copies of an L-factor one multiset of j's each.  One pass over the
+    groups keeps, per steps used so far, the set of partial multisets;
+    layers[k] holds the multisets that use exactly k steps.
+    """
+    dims = {}
+    groups = Counter()
+    for f in factors:
+        dims[f.line.id] = f.line.dim
+        groups[(f.line.id, f.kind, f.length, int(2 * f.twist))] += 1
+    layers = {0: {()}}
+    for key, count in sorted(groups.items()):
+        line, kind, length, tw2 = key
+        r = dims[line]
+        options = []  # (steps, factors left by the group)
+        if kind == "Z":
+            stepped = ((line, "Z", length - 1, tw2 + z_step),) if length > 1 else ()
+            for s in range(count + 1):
+                options.append((s * r, (key,) * (count - s) + stepped * s))
+        else:
+            for js in combinations_with_replacement(range(length + 1), count):
+                left = tuple(
+                    (line, "Z" if length - j == 1 else "L", length - j, tw2 - j * z_step)
+                    for j in js
+                    if j < length
+                )
+                options.append((sum(js) * r, left))
+        nxt: dict[int, set[tuple]] = {}
+        for used, partials in layers.items():
+            for steps, left in options:
+                k = used + steps
+                if k > kmax:
+                    continue
+                bucket = nxt.setdefault(k, set())
+                for q in partials:
+                    bucket.add(tuple(sorted(q + left)))
+        layers = nxt
+    return [layers.get(k, set()) for k in range(kmax + 1)]
+
+
 def derivative_products(p: GLProduct, k: int) -> set[GLProduct]:
     """All factor multisets reachable by distributing k derivative steps.
 
     Z-factors accept zero steps or one full step (rank dim(line), twist
     -1/2, length -1); L-factors accept j steps of rank dim(line) each with
-    twist +j/2 and length -j.  Exhausted factors disappear.
+    twist +j/2 and length -j.  Exhausted factors disappear.  This is layer
+    k of the single grouped walk in ``_derivative_layers``, which holds
+    twists as doubled ints; they become Fractions again only here.
     """
     if k < 0:
         return set()
-    results: set[tuple] = set()
-
-    factors = list(p.factors)
-
-    def walk(idx: int, remaining: int, acc: list[GLFactor]):
-        if idx == len(factors):
-            if remaining == 0:
-                results.add(tuple(sorted(acc, key=GLFactor.sort_key)))
-            return
-        f = factors[idx]
-        r = f.line.dim
-        if f.kind == "Z":
-            choices = [0, 1] if remaining >= r else [0]
-            for steps in choices:
-                if steps == 0:
-                    walk(idx + 1, remaining, acc + [f])
-                else:
-                    nf = (
-                        [GLFactor("Z", f.line, f.length - 1, f.twist - Fraction(1, 2))]
-                        if f.length > 1
-                        else []
-                    )
-                    walk(idx + 1, remaining - r, acc + nf)
-        else:
-            jmax = min(f.length, remaining // r)
-            for j in range(jmax + 1):
-                nf = (
-                    [GLFactor("L", f.line, f.length - j, f.twist + Fraction(j, 2))]
-                    if f.length - j > 0
-                    else []
-                )
-                walk(idx + 1, remaining - j * r, acc + nf)
-
-    walk(0, k, [])
-    return {GLProduct(t) for t in results}
+    lines = {f.line.id: f.line for f in p.factors}
+    return {
+        GLProduct(
+            GLFactor(kind, lines[line], length, Fraction(tw2, 2))
+            for line, kind, length, tw2 in q
+        )
+        for q in _derivative_layers(p.factors, -1, k)[k]
+    }
 
 
 def derivative_supports(p: GLProduct, k: int) -> set:
@@ -327,54 +357,6 @@ def product_from_aparam(p: AParam) -> GLProduct:
     return GLProduct(factors)
 
 
-def _shift(p: GLProduct, delta: Fraction) -> GLProduct:
-    return GLProduct(
-        GLFactor(f.kind, f.line, f.length, f.twist + delta) for f in p.factors
-    )
-
-
-def _dual_derived_dual(p: GLProduct, k: int) -> set[GLProduct]:
-    """Factor multisets of (derivative of the contragredient, then contragredient).
-
-    Net effect on one factor: Z-factors gain twist +1/2 and lose one length
-    step; L-factors gain twist -j/2 and lose j.
-    """
-    results: set[tuple] = set()
-    factors = list(p.factors)
-
-    def walk(idx: int, remaining: int, acc: list[GLFactor]):
-        if idx == len(factors):
-            if remaining == 0:
-                results.add(tuple(sorted(acc, key=GLFactor.sort_key)))
-            return
-        f = factors[idx]
-        r = f.line.dim
-        if f.kind == "Z":
-            choices = [0, 1] if remaining >= r else [0]
-            for steps in choices:
-                if steps == 0:
-                    walk(idx + 1, remaining, acc + [f])
-                else:
-                    nf = (
-                        [GLFactor("Z", f.line, f.length - 1, f.twist + Fraction(1, 2))]
-                        if f.length > 1
-                        else []
-                    )
-                    walk(idx + 1, remaining - r, acc + nf)
-        else:
-            jmax = min(f.length, remaining // r)
-            for j in range(jmax + 1):
-                nf = (
-                    [GLFactor("L", f.line, f.length - j, f.twist - Fraction(j, 2))]
-                    if f.length - j > 0
-                    else []
-                )
-                walk(idx + 1, remaining - j * r, acc + nf)
-
-    walk(0, k, [])
-    return {GLProduct(t) for t in results}
-
-
 def _hypotheses(p: AParam) -> str | None:
     """Check the two branching-theorem hypotheses; return a violation note or None."""
     for t in p.terms:
@@ -407,17 +389,16 @@ def decide_gl_branching(mA: AParam, nA: AParam) -> dict:
         if note:
             return {"inconclusive": True, "reason": f"{name} parameter: {note}"}
     rel = check_relevant(mA, nA)
-    pi_m = product_from_aparam(mA)
-    pi_n = product_from_aparam(nA)
-    deriv = False
-    for j in range(nA.dim + 1):
-        cands_m = {
-            _shift(q, Fraction(1, 2)) for q in derivative_products(pi_m, j + 1)
-        }
-        cands_n = _dual_derived_dual(pi_n, j)
-        if cands_m & cands_n:
-            deriv = True
-            break
+    # j + 1 derivative steps of the first product twisted by 1/2 (the walk
+    # commutes with a uniform twist) against j steps of "dual, derive, dual"
+    # on the second; the scan stops at the first j with a common multiset
+    first = [
+        GLFactor(f.kind, f.line, f.length, f.twist + Fraction(1, 2))
+        for f in product_from_aparam(mA).factors
+    ]
+    firsts = _derivative_layers(first, -1, nA.dim + 1)
+    seconds = _derivative_layers(product_from_aparam(nA).factors, 1, nA.dim)
+    deriv = any(not seconds[j].isdisjoint(firsts[j + 1]) for j in range(nA.dim + 1))
     if deriv != rel.relevant:
         raise AparamError(
             "derivative procedure disagrees with the relevance verdict"

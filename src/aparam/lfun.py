@@ -223,11 +223,12 @@ def alt2_formal(p: AParam) -> FormalRep:
 # negative, so "pole of order >= 0" reads as result >= 0.
 
 
-def gl_ratio_order(m: AParam, n: AParam) -> int:
+def gl_ratio_order(m: AParam, n: AParam, detail: bool = False):
     """Signed order at s=0 of the general-linear branching ratio.
 
     Numerator: the two mixed tensor factors at the half shift.  Denominator:
-    the two adjoint factors at the full shift.
+    the two adjoint factors at the full shift.  With ``detail`` the result
+    is (numerator, denominator, signed) as in ``bessel_ratio_order``.
     """
     if m.parity != "gl" or n.parity != "gl":
         raise ParityError("gl ratio needs two gl parameters")
@@ -237,6 +238,8 @@ def gl_ratio_order(m: AParam, n: AParam) -> int:
     den = ord_at(tensor_formal(m, dual_param(m)), 1) + ord_at(
         tensor_formal(n, dual_param(n)), 1
     )
+    if detail:
+        return num, den, num - den
     return num - den
 
 

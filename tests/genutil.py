@@ -222,3 +222,114 @@ def rand_classical_relevant(rng: random.Random, max_d: int = 3):
             continue
         if is_relevant(m, n):
             return m, n
+
+
+def c11_stream(rng: random.Random):
+    """Endless corank-one gl pairs on the trivial and chi lines, padded with fresh lines.
+
+    Occasional tempered Steinberg factors sit on fresh lines, so both
+    branching hypotheses hold on every instance.
+    """
+    counter = [0]
+
+    def fresh_pads(k):
+        base = counter[0]
+        counter[0] += k
+        return [
+            ATerm(WeilSymbol(f"q{base+i}", 1, "none", f"qd{base+i}"), 1, 1)
+            for i in range(k)
+        ]
+
+    syms = [TABLE["1"], TABLE["chi"]]
+    while True:
+        terms_m, terms_n = [], []
+        for _ in range(rng.randint(1, 2)):
+            sym = rng.choice(syms)
+            mc, nc = {}, {}
+            for i in range(rng.randint(1, 3)):
+                pm, pn = rng.randint(0, 1), rng.randint(0, 1)
+                mc[i] = mc.get(i, 0) + pm
+                nc[i + 1] = nc.get(i + 1, 0) + pm
+                nc[i] = nc.get(i, 0) + pn
+                mc[i + 1] = mc.get(i + 1, 0) + pn
+            mc[0] = mc.get(0, 0) + rng.randint(0, 1)
+            nc[0] = nc.get(0, 0) + rng.randint(0, 1)
+            for i, c in mc.items():
+                if c:
+                    terms_m.append(ATerm(sym, 1, i + 1, c))
+            for i, c in nc.items():
+                if c:
+                    terms_n.append(ATerm(sym, 1, i + 1, c))
+        if rng.random() < 0.4 and terms_m:
+            t = terms_m[rng.randrange(len(terms_m))]
+            terms_m[terms_m.index(t)] = ATerm(t.weil, 1, t.a_dim + rng.choice((1, 2)), t.mult)
+        # occasional tempered Steinberg factors on fresh lines (hypotheses hold)
+        for terms in (terms_m, terms_n):
+            if rng.random() < 0.3:
+                terms.extend(
+                    ATerm(f.weil, rng.randint(2, 3), 1) for f in fresh_pads(1)
+                )
+        m, n = AParam(terms_m, "gl"), AParam(terms_n, "gl")
+        if m.dim <= n.dim:
+            m = AParam(list(m.terms) + fresh_pads(n.dim + 1 - m.dim), "gl")
+        elif m.dim > n.dim + 1:
+            n = AParam(list(n.terms) + fresh_pads(m.dim - n.dim - 1), "gl")
+        if m.dim != n.dim + 1:
+            continue
+        yield m, n
+
+
+def walk_bucket(m, n) -> int:
+    """log2 of the number of leaves of the larger per-copy derivative walk.
+
+    A per-copy walk gives each Z-factor copy two choices and each copy of an
+    L-factor of length d its d + 1 choices, so this counts the branches the
+    walk in ``derivative_walk_oracle`` explores for a pair.
+    """
+
+    def leaves(p):
+        count = 1
+        for t in p.terms:
+            count *= (2 if t.d_dim == 1 else t.d_dim + 1) ** t.mult
+        return count
+
+    return max(leaves(m), leaves(n)).bit_length() - 1
+
+
+def derivative_walk_oracle(p, k: int, z_step: int) -> set:
+    """Reference derivative walk: every factor copy chooses its steps on its own.
+
+    z_step = -1 gives the k-th derivative's factor multisets (Z-factors
+    twist -1/2, L-factors +j/2); z_step = +1 gives "dual, derive, dual"
+    (Z-factors +1/2, L-factors -j/2).  Returns a set of GLProducts.
+    """
+    from aparam.glbranch import GLFactor, GLProduct
+
+    half = Fraction(z_step, 2)
+    results: set[tuple] = set()
+    factors = list(p.factors)
+
+    def walk(idx: int, remaining: int, acc: list):
+        if idx == len(factors):
+            if remaining == 0:
+                results.add(tuple(sorted(acc, key=GLFactor.sort_key)))
+            return
+        f = factors[idx]
+        r = f.line.dim
+        if f.kind == "Z":
+            walk(idx + 1, remaining, acc + [f])
+            if remaining >= r:
+                nf = [GLFactor("Z", f.line, f.length - 1, f.twist + half)] if f.length > 1 else []
+                walk(idx + 1, remaining - r, acc + nf)
+        else:
+            for j in range(min(f.length, remaining // r) + 1):
+                nf = (
+                    [GLFactor("L", f.line, f.length - j, f.twist - j * half)]
+                    if f.length - j > 0
+                    else []
+                )
+                walk(idx + 1, remaining - j * r, acc + nf)
+
+    if k >= 0:
+        walk(0, k, [])
+    return {GLProduct(t) for t in results}

@@ -5,6 +5,7 @@ test failure (criterion 1's published constants are marked xfail with the
 verified values pinned alongside; see the decisions ledger).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from aparam.chars import SignTable, alternating_characters, ggp_chi, without_gap
 from aparam.glbranch import decide_gl_branching
 from genutil import (
     TABLE,
+    c11_stream,
     ord_oracle,
     rand_discrete_pair,
     rand_mult_free_pair,
@@ -317,56 +319,7 @@ def test_c10_family():
 
 
 def _c11_instances():
-    rng = random.Random(1011)
-    counter = [0]
-
-    def fresh_pads(k):
-        base = counter[0]
-        counter[0] += k
-        return [
-            ATerm(WeilSymbol(f"q{base+i}", 1, "none", f"qd{base+i}"), 1, 1)
-            for i in range(k)
-        ]
-
-    syms = [TABLE["1"], TABLE["chi"]]
-    out = []
-    while len(out) < 200:
-        terms_m, terms_n = [], []
-        for _ in range(rng.randint(1, 2)):
-            sym = rng.choice(syms)
-            mc, nc = {}, {}
-            for i in range(rng.randint(1, 3)):
-                pm, pn = rng.randint(0, 1), rng.randint(0, 1)
-                mc[i] = mc.get(i, 0) + pm
-                nc[i + 1] = nc.get(i + 1, 0) + pm
-                nc[i] = nc.get(i, 0) + pn
-                mc[i + 1] = mc.get(i + 1, 0) + pn
-            mc[0] = mc.get(0, 0) + rng.randint(0, 1)
-            nc[0] = nc.get(0, 0) + rng.randint(0, 1)
-            for i, c in mc.items():
-                if c:
-                    terms_m.append(ATerm(sym, 1, i + 1, c))
-            for i, c in nc.items():
-                if c:
-                    terms_n.append(ATerm(sym, 1, i + 1, c))
-        if rng.random() < 0.4 and terms_m:
-            t = terms_m[rng.randrange(len(terms_m))]
-            terms_m[terms_m.index(t)] = ATerm(t.weil, 1, t.a_dim + rng.choice((1, 2)), t.mult)
-        # occasional tempered Steinberg factors on fresh lines (hypotheses hold)
-        for terms in (terms_m, terms_n):
-            if rng.random() < 0.3:
-                terms.extend(
-                    ATerm(f.weil, rng.randint(2, 3), 1) for f in fresh_pads(1)
-                )
-        m, n = AParam(terms_m, "gl"), AParam(terms_n, "gl")
-        if m.dim <= n.dim:
-            m = AParam(list(m.terms) + fresh_pads(n.dim + 1 - m.dim), "gl")
-        elif m.dim > n.dim + 1:
-            n = AParam(list(n.terms) + fresh_pads(m.dim - n.dim - 1), "gl")
-        if m.dim != n.dim + 1:
-            continue
-        out.append((m, n))
-    return out
+    return list(itertools.islice(c11_stream(random.Random(1011)), 200))
 
 
 def test_c11_branching_decision():

@@ -88,6 +88,29 @@ def test_gl_ratio_command(tmp_path):
     assert json.loads(out)["signed_order"] == 1
 
 
+def test_gl_ratio_rejects_classical_parity(pair_files):
+    m, n = pair_files
+    code, out = invoke(["lfun", "gl-ratio", m, n])
+    assert code == 1 and json.loads(out) == {"error": "gl ratio needs two gl parameters"}
+
+
+def test_parameter_files_read_once(tmp_path, monkeypatch):
+    import aparam.cli as cli
+
+    symbols = {"symbols": [{"id": "V", "dim": 2, "duality": "symplectic", "dual_id": "V"}]}
+    m = write(tmp_path, "m.json", {"parity": "symplectic", "expr": "V:D1:A1", **symbols})
+    n = write(tmp_path, "n.json", {"parity": "orthogonal", "expr": "1:D1:A3"})
+    reads = []
+    real = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or real(path))
+    code, out = invoke(["lfun", "bessel-ratio", m, n])
+    assert code == 0 and sorted(reads) == sorted([m, n])
+    # an unreadable parameter file still reports its own error
+    (tmp_path / "bad.json").write_text("{")
+    code, out = invoke(["lfun", "bessel-ratio", m, str(tmp_path / "bad.json")])
+    assert code == 1 and "error" in json.loads(out)
+
+
 def test_globlfun_ratio_command(tmp_path):
     symbols = {
         "symbols": [

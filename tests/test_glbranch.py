@@ -10,6 +10,7 @@ from aparam.glbranch import (
     GLProduct,
     HypothesisViolated,
     St,
+    _derivative_layers,
     Z,
     decide_gl_branching,
     derivative_products,
@@ -20,8 +21,8 @@ from aparam.glbranch import (
     support,
     support_match,
 )
-from aparam.relevance import is_relevant
-from genutil import TABLE
+from aparam.relevance import brute_force_relevant, is_relevant
+from genutil import TABLE, c11_stream, derivative_walk_oracle, walk_bucket
 
 HALF = Fraction(1, 2)
 
@@ -299,3 +300,61 @@ def test_support_match_randomized_templates():
         line, x = res2.witness
         sup_v, sup_w = support(v), support(bumped)
         assert sup_v.get(line, Counter())[x] != sup_w.get(line, Counter())[x]
+
+
+# ---------------------------------------------------------------------------
+# the grouped walk against the per-copy reference walk
+
+
+def _keys(products):
+    return {
+        tuple((f.line.id, f.kind, f.length, int(2 * f.twist)) for f in q.factors)
+        for q in products
+    }
+
+
+def test_derivative_layers_match_per_copy_walk():
+    # repeated factors, rho2 (dim 2) lines, nonzero starting twists and
+    # L-factors whose remnant has length 1 must all occur in the sample
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(120):
+        factors = []
+        size = rng.randint(1, 4)
+        while len(factors) < size:
+            line = rng.choice((TABLE["1"], TABLE["1"], TABLE["rho2"]))
+            f = GLFactor(
+                rng.choice(("Z", "L")), line, rng.randint(1, 4), Fraction(rng.randint(-3, 3), 2)
+            )
+            factors.extend([f] * rng.choice((1, 1, 2, 3)))
+        p = GLProduct(factors)
+        seen["repeated"] += len(set(p.factors)) < len(p.factors)
+        seen["rho2"] += any(f.line.id == "rho2" for f in p.factors)
+        seen["twisted"] += any(f.twist for f in p.factors)
+        # every L-factor (length >= 2) can step to a length-1 remnant
+        seen["L"] += any(f.kind == "L" for f in p.factors)
+        kmax = p.rank + 1
+        for z_step in (-1, 1):
+            layers = _derivative_layers(p.factors, z_step, kmax)
+            assert len(layers) == kmax + 1
+            for k in range(kmax + 1):
+                want = derivative_walk_oracle(p, k, z_step)
+                assert layers[k] == _keys(want), (p, z_step, k)
+                if z_step == -1:
+                    assert derivative_products(p, k) == want
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def test_decide_heavy_walk_buckets():
+    # the corpus instances with the largest per-copy walks (2^11 leaves and
+    # more) against the brute-force relevance oracle
+    heavy = []
+    for m, n in c11_stream(random.Random(1012)):
+        if walk_bucket(m, n) >= 11:
+            heavy.append((m, n))
+            if len(heavy) == 20:
+                break
+    for m, n in heavy:
+        out = decide_gl_branching(m, n)
+        assert not out["inconclusive"]
+        assert out["hom_nonzero"] == bool(brute_force_relevant(m, n))
