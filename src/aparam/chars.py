@@ -10,6 +10,13 @@ with n(a,b) = min(a,b) * (max(a,b) - 1), which specializes on the trivial
 pair to eps([a] (x) [b]) = (-1)^(n(a,b)).  Inertia contributions of
 nontrivial inert symbols are taken trivial by convention; only the trivial
 symbol triggers the (-1)^(n-1) base case.
+
+A basis element of the endoscopic characters sits on one row (an I-row, of
+the first parameter's duality sign, or a J-row) and one side (M or N); its
+value is the product of row epsilons over the other kind's rows, compared by
+Arthur dimension on that side.  Arthur: an I-row takes those above it on M
+and below it on N, a J-row the reverse.  GG: all of them on (I, M) and
+(J, N), +1 on the other two.  Automorphy: those strictly below it, always.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .repcore import (
     ParityError,
     SYMPL,
     WeilSymbol,
+    read_field,
     swap_sl2,
     _SIGN,
 )
@@ -103,8 +111,11 @@ class SignTable:
         """Schema: {"eps": [{"a", "b", "value"}], "detm1": [{"id", "value"}]}."""
         if isinstance(data, str):
             data = json.loads(data)
-        eps = {(r["a"], r["b"]): int(r["value"]) for r in data.get("eps", [])}
-        det = {r["id"]: int(r["value"]) for r in data.get("detm1", [])}
+        eps, det = {}, {}
+        for r in read_field(data, "eps", list, []):
+            eps[(read_field(r, "a", str), read_field(r, "b", str))] = read_field(r, "value", int)
+        for r in read_field(data, "detm1", list, []):
+            det[read_field(r, "id", str)] = read_field(r, "value", int)
         return cls(eps, det)
 
 
@@ -310,17 +321,34 @@ def _row_eps(ri: EndoRow, rj: EndoRow, table: SignTable) -> int:
     return eps_block(ri.weil, ri.d_dim, rj.weil, rj.d_dim, table)
 
 
-def _rows(m: AParam, n: AParam):
+def _restricted_eps(row: EndoRow, others, table: SignTable) -> int:
+    """Product of the row epsilons of ``row`` against each of ``others``.
+
+    Each pair is passed I-row first, so every family names a missing table
+    entry the same way.
+    """
+    val = 1
+    for o in others:
+        val *= _row_eps(row, o, table) if row.in_i else _row_eps(o, row, table)
+    return val
+
+
+def _families(m: AParam, n: AParam):
+    """Yield ``(row, basis key, b, others)`` for every basis element, I-rows first.
+
+    ``b`` is the row's Arthur dimension on the key's side, M before N, and
+    ``others`` the other kind's rows with their dimension on that side.
+    """
     rows = endoscopic_rows(m, n)
-    return [r for r in rows if r.in_i], [r for r in rows if not r.in_i]
-
-
-def _mside_key(r: EndoRow) -> BasisKey:
-    return ("M", r.weil.id, r.d_dim, r.m_dim)
-
-
-def _nside_key(r: EndoRow) -> BasisKey:
-    return ("N", r.weil.id, r.d_dim, r.n_dim)
+    i_rows = [r for r in rows if r.in_i]
+    j_rows = [r for r in rows if not r.in_i]
+    for row in i_rows + j_rows:
+        others = j_rows if row.in_i else i_rows
+        for side, attr in (("M", "m_dim"), ("N", "n_dim")):
+            b = getattr(row, attr)
+            if b:
+                key = (side, row.weil.id, row.d_dim, b)
+                yield row, key, b, [(o, getattr(o, attr)) for o in others]
 
 
 def arthur_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssignment:
@@ -330,34 +358,11 @@ def arthur_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssignm
     declared epsilons over the J-rows with strictly larger first-side Arthur
     dimension; the other three families mirror this.
     """
-    i_rows, j_rows = _rows(m, n)
     out = {}
-    for ri in i_rows:
-        if ri.m_dim:
-            val = 1
-            for rj in j_rows:
-                if ri.m_dim < rj.m_dim:
-                    val *= _row_eps(ri, rj, table)
-            out[_mside_key(ri)] = val
-        if ri.n_dim:
-            val = 1
-            for rj in j_rows:
-                if ri.n_dim > rj.n_dim:
-                    val *= _row_eps(ri, rj, table)
-            out[_nside_key(ri)] = val
-    for rj in j_rows:
-        if rj.m_dim:
-            val = 1
-            for ri in i_rows:
-                if ri.m_dim < rj.m_dim:
-                    val *= _row_eps(ri, rj, table)
-            out[_mside_key(rj)] = val
-        if rj.n_dim:
-            val = 1
-            for ri in i_rows:
-                if ri.n_dim > rj.n_dim:
-                    val *= _row_eps(ri, rj, table)
-            out[_nside_key(rj)] = val
+    for row, key, b, others in _families(m, n):
+        above = row.in_i == (key[0] == "M")
+        taken = [o for o, ob in others if (ob > b if above else ob < b)]
+        out[key] = _restricted_eps(row, taken, table)
     return CharacterAssignment.of(out)
 
 
@@ -367,24 +372,10 @@ def gg_global_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssi
     Nonzero products appear only on the I-rows' first side and the J-rows'
     second side; the other two families are identically +1.
     """
-    i_rows, j_rows = _rows(m, n)
     out = {}
-    for ri in i_rows:
-        if ri.m_dim:
-            val = 1
-            for rj in j_rows:
-                val *= _row_eps(ri, rj, table)
-            out[_mside_key(ri)] = val
-        if ri.n_dim:
-            out[_nside_key(ri)] = 1
-    for rj in j_rows:
-        if rj.m_dim:
-            out[_mside_key(rj)] = 1
-        if rj.n_dim:
-            val = 1
-            for ri in i_rows:
-                val *= _row_eps(ri, rj, table)
-            out[_nside_key(rj)] = val
+    for row, key, _, others in _families(m, n):
+        full = row.in_i == (key[0] == "M")
+        out[key] = _restricted_eps(row, [o for o, _ in others], table) if full else 1
     return CharacterAssignment.of(out)
 
 
@@ -394,36 +385,25 @@ def automorphy_test(m: AParam, n: AParam, table: SignTable) -> dict:
     When all four hold, the per-row restricted products over special pairs
     are additionally asserted to be +1.
     """
-    i_rows, j_rows = _rows(m, n)
+    families = list(_families(m, n))
     failed = []
-
-    def prod(pairs):
-        val = 1
-        for ri, rj in pairs:
-            val *= _row_eps(ri, rj, table)
-        return val
-
-    for ri in i_rows:
-        if ri.m_dim and prod((ri, rj) for rj in j_rows if ri.m_dim > rj.m_dim) != 1:
-            failed.append(f"first-side product at {ri.weil.id}:D{ri.d_dim} (I-row)")
-        if ri.n_dim and prod((ri, rj) for rj in j_rows if ri.n_dim > rj.n_dim) != 1:
-            failed.append(f"second-side product at {ri.weil.id}:D{ri.d_dim} (I-row)")
-    for rj in j_rows:
-        if rj.m_dim and prod((ri, rj) for ri in i_rows if ri.m_dim < rj.m_dim) != 1:
-            failed.append(f"first-side product at {rj.weil.id}:D{rj.d_dim} (J-row)")
-        if rj.n_dim and prod((ri, rj) for ri in i_rows if ri.n_dim < rj.n_dim) != 1:
-            failed.append(f"second-side product at {rj.weil.id}:D{rj.d_dim} (J-row)")
+    for row, (side, *_), b, others in families:
+        if _restricted_eps(row, [o for o, ob in others if ob < b], table) != 1:
+            where = "first" if side == "M" else "second"
+            kind = "I" if row.in_i else "J"
+            failed.append(f"{where}-side product at {row.weil.id}:D{row.d_dim} ({kind}-row)")
     automorphic = not failed
     if automorphic:
         specials = special_pairs(m, n)
-        for ri in i_rows:
-            val = prod((sp.i_row, sp.j_row) for sp in specials if sp.i_row == ri)
-            if val != 1:
-                raise AparamError("special-pair product identity failed on an I-row")
-        for rj in j_rows:
-            val = prod((sp.i_row, sp.j_row) for sp in specials if sp.j_row == rj)
-            if val != 1:
-                raise AparamError("special-pair product identity failed on a J-row")
+        for row in dict.fromkeys(row for row, *_ in families):
+            partners = [
+                sp.j_row if row.in_i else sp.i_row
+                for sp in specials
+                if row in (sp.i_row, sp.j_row)
+            ]
+            if _restricted_eps(row, partners, table) != 1:
+                kind = "an I-row" if row.in_i else "a J-row"
+                raise AparamError(f"special-pair product identity failed on {kind}")
     return {"automorphic": automorphic, "failed_conditions": failed}
 
 

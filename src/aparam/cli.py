@@ -16,10 +16,12 @@ from . import repcore
 from .repcore import (
     AParam,
     AparamError,
+    ParseError,
     SymbolTable,
     enumerate_params,
     fmt_half,
     parse_param,
+    read_field,
     render_param,
 )
 from . import relevance as rel
@@ -39,7 +41,10 @@ def _emit(payload: dict) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object at the top level")
+    return data
 
 
 def _load_inputs(args):
@@ -54,7 +59,7 @@ def _load_inputs(args):
         path = getattr(args, attr, None)
         if path and Path(path).is_file():
             docs[path] = _load_json(path)
-    tables += [d for d in docs.values() if isinstance(d, dict) and "symbols" in d]
+    tables += [d for d in docs.values() if "symbols" in d]
     syms = []
     for data in tables:
         syms.extend(SymbolTable.from_json(data).symbols())
@@ -188,9 +193,10 @@ def _cmd_globlfun_ratio(args) -> int:
     payload = {"expression": expr.render(), "constant": expr.const}
     if args.bind:
         data = _load_json(args.bind)
-        bindings = {
-            globlfun.z_key(r["a"], r["b"]): int(r["value"]) for r in data.get("z", [])
-        }
+        bindings = {}
+        for r in read_field(data, "z", list, []):
+            key = globlfun.z_key(read_field(r, "a", str), read_field(r, "b", str))
+            bindings[key] = read_field(r, "value", int)
         payload["value"] = expr.substitute(bindings)
     _emit(payload)
     return EXIT_OK
@@ -226,19 +232,20 @@ def _cmd_chars_supercuspidal(args) -> int:
     m = load(args.m)
     if args.alpha:
         data = _load_json(args.alpha)
-        alpha = chars_mod.CharacterAssignment.of(
-            {
-                (r.get("side", "M"), r["weil"], int(r["d"]), int(r.get("a", 1))): int(r["value"])
-                for r in data["values"]
-            }
-        )
+        values = {}
+        for r in read_field(data, "values", list):
+            side, weil = read_field(r, "side", str, "M"), read_field(r, "weil", str)
+            key = (side, weil, read_field(r, "d", int), read_field(r, "a", int, 1))
+            values[key] = read_field(r, "value", int)
+        alpha = chars_mod.CharacterAssignment.of(values)
         ok = chars_mod.supercuspidal_support(m, alpha)
         _emit({"supercuspidal": ok})
         return EXIT_OK if ok else EXIT_NO
-    cands = chars_mod.alternating_characters(m) if chars_mod.without_gaps(m) else []
+    gapless = chars_mod.without_gaps(m)
+    cands = chars_mod.alternating_characters(m) if gapless else []
     _emit(
         {
-            "without_gaps": chars_mod.without_gaps(m),
+            "without_gaps": gapless,
             "alternating_characters": [_character_json(c) for c in cands],
         }
     )
@@ -325,9 +332,8 @@ def _registry():
     def counterexample_1():
         m = parse_param("1:D1:A10", symtab, "symplectic")
         n = parse_param("1:D1:A5 + 1:D7:A1 + 1:D9:A1", symtab, "orthogonal")
-        num, den, signed = lfun.bessel_ratio_order(m, n, detail=True)
         computed = {
-            "signed_order": signed,
+            "signed_order": lfun.bessel_ratio_order(m, n),
             "relevant": rel.is_relevant(m, n),
         }
         expected = {"signed_order": 0, "relevant": False}

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .repcore import (
     AParam,
     AparamError,
-    NotDiscreteError,
     ParityError,
     ShapeError,
     WeilSymbol,
@@ -36,7 +35,7 @@ from .repcore import (
     SYMPL,
     _SIGN,
 )
-from .relevance import NotRelevantError, check_relevant, endoscopic_rows
+from .relevance import endoscopic_rows
 
 __all__ = [
     "OrderExpr",
@@ -65,11 +64,18 @@ class OrderExpr:
         clean = {k: v for k, v in (zs or {}).items() if v}
         return cls(const, tuple(sorted(clean.items())))
 
+    @classmethod
+    def total(cls, exprs) -> "OrderExpr":
+        """The sum of an iterable of expressions, canonicalized once."""
+        const, zs = 0, {}
+        for e in exprs:
+            const += e.const
+            for k, v in e.zs:
+                zs[k] = zs.get(k, 0) + v
+        return cls.of(const, zs)
+
     def __add__(self, other: "OrderExpr") -> "OrderExpr":
-        zs = dict(self.zs)
-        for k, v in other.zs:
-            zs[k] = zs.get(k, 0) + v
-        return OrderExpr.of(self.const + other.const, zs)
+        return OrderExpr.total((self, other))
 
     def __sub__(self, other: "OrderExpr") -> "OrderExpr":
         return self + other.scale(-1)
@@ -148,16 +154,32 @@ def square_block_order(kind: str, p: CuspSymbol, d: int) -> OrderExpr:
     return OrderExpr.of(1 if marker else 0)
 
 
-def _check_global_pair(m: AParam, n: AParam):
-    if m.parity == "gl" or n.parity == "gl":
-        raise ParityError("global ratio needs classical parities")
-    if _SIGN[m.parity] == _SIGN[n.parity]:
-        raise ParityError("the two parities must be opposite")
-    for p in (m, n):
-        if not p.is_deligne_trivial():
-            raise AparamError("global parameters carry only the second SL2 factor")
-        if not p.is_discrete():
-            raise NotDiscreteError("global ratio needs discrete parameters")
+def _cg_blocks(p1: CuspSymbol, p2: CuspSymbol, x: int, y: int, shift: Fraction) -> list[OrderExpr]:
+    """Block orders of (p1 (x) [x]) (x) (p2 (x) [y]); none when a side is absent."""
+    if not (x and y):
+        return []
+    return [global_block_order(p1, p2, d, shift) for d in clebsch_gordan(x, y)]
+
+
+def _square_blocks(v: CuspSymbol, b: int, sympl: bool) -> list[OrderExpr]:
+    """Block orders of the adjoint square of v (x) [b], Sym^2 on a symplectic side:
+
+        Sym^2(rho (x) [b]) = Sym^2 rho (x) Sym^2[b] + Alt^2 rho (x) Alt^2[b]
+        Alt^2(rho (x) [b]) = Sym^2 rho (x) Alt^2[b] + Alt^2 rho (x) Sym^2[b]
+    """
+    if not b:
+        return []
+    sym_dims, alt_dims = (sym2_sl2(b), alt2_sl2(b)) if sympl else (alt2_sl2(b), sym2_sl2(b))
+    return [square_block_order("sym2", v, d) for d in sym_dims] + [
+        square_block_order("alt2", v, d) for d in alt_dims
+    ]
+
+
+def _row_order(v: CuspSymbol, b: int, bp: int, first_sympl: bool):
+    """Numerator (tensor) and denominator (squares) blocks of the row (V (x) [b], V (x) [b'])."""
+    num = _cg_blocks(v, v, b, bp, HALF)
+    den = _square_blocks(v, b, first_sympl) + _square_blocks(v, bp, not first_sympl)
+    return num, den
 
 
 def global_ratio_order(m: AParam, n: AParam) -> OrderExpr:
@@ -169,54 +191,21 @@ def global_ratio_order(m: AParam, n: AParam) -> OrderExpr:
     full shift.  For a relevant pair the constant term vanishes and the
     expression is minus the sum of central unknowns over special pairs.
     """
-    _check_global_pair(m, n)
-    w = check_relevant(m, n)
-    if not w:
-        raise NotRelevantError(w)
-    rows = endoscopic_rows(m, n, w)
-    expr = OrderExpr.of(0)
-    # numerator: diagonal V_a (x) W_a plus both mixed products per unordered pair
-    for r in rows:
-        for d in clebsch_gordan(r.m_dim, r.n_dim) if r.m_dim and r.n_dim else []:
-            expr += global_block_order(r.weil, r.weil, d, HALF)
-    for i, ra in enumerate(rows):
-        for rb in rows[i + 1 :]:
-            if ra.m_dim and rb.n_dim:
-                for d in clebsch_gordan(ra.m_dim, rb.n_dim):
-                    expr += global_block_order(ra.weil, rb.weil, d, HALF)
-            if rb.m_dim and ra.n_dim:
-                for d in clebsch_gordan(rb.m_dim, ra.n_dim):
-                    expr += global_block_order(rb.weil, ra.weil, d, HALF)
-    # denominator: the adjoint square on each side (symmetric square on the
-    # symplectic parameter, exterior square on the orthogonal one), tensors off
-    # the diagonal
+    if not (m.is_deligne_trivial() and n.is_deligne_trivial()):
+        raise AparamError("global parameters carry only the second SL2 factor")
+    rows = endoscopic_rows(m, n)
     first_sympl = m.parity in (SYMPL, CONJ_SYMPL)
-    den = OrderExpr.of(0)
-    for r in rows:
-        for dim, sympl_side in ((r.m_dim, first_sympl), (r.n_dim, not first_sympl)):
-            if not dim:
-                continue
-            if sympl_side:
-                # Sym^2(rho (x) [b]) = Sym^2 rho (x) Sym^2[b] + Alt^2 rho (x) Alt^2[b]
-                for d in sym2_sl2(dim):
-                    den += square_block_order("sym2", r.weil, d)
-                for d in alt2_sl2(dim):
-                    den += square_block_order("alt2", r.weil, d)
-            else:
-                # Alt^2(rho (x) [b]) = Sym^2 rho (x) Alt^2[b] + Alt^2 rho (x) Sym^2[b]
-                for d in alt2_sl2(dim):
-                    den += square_block_order("sym2", r.weil, d)
-                for d in sym2_sl2(dim):
-                    den += square_block_order("alt2", r.weil, d)
+    num, den = [], []
     for i, ra in enumerate(rows):
+        row_num, row_den = _row_order(ra.weil, ra.m_dim, ra.n_dim, first_sympl)
+        num += row_num
+        den += row_den
         for rb in rows[i + 1 :]:
-            if ra.m_dim and rb.m_dim:
-                for d in clebsch_gordan(ra.m_dim, rb.m_dim):
-                    den += global_block_order(ra.weil, rb.weil, d, ONE)
-            if ra.n_dim and rb.n_dim:
-                for d in clebsch_gordan(ra.n_dim, rb.n_dim):
-                    den += global_block_order(ra.weil, rb.weil, d, ONE)
-    return expr - den
+            num += _cg_blocks(ra.weil, rb.weil, ra.m_dim, rb.n_dim, HALF)
+            num += _cg_blocks(rb.weil, ra.weil, rb.m_dim, ra.n_dim, HALF)
+            den += _cg_blocks(ra.weil, rb.weil, ra.m_dim, rb.m_dim, ONE)
+            den += _cg_blocks(ra.weil, rb.weil, ra.n_dim, rb.n_dim, ONE)
+    return OrderExpr.total(num) - OrderExpr.total(den)
 
 
 def diagonal_block_order(v: CuspSymbol, dims: tuple[int, int]) -> OrderExpr:
@@ -235,17 +224,5 @@ def diagonal_block_order(v: CuspSymbol, dims: tuple[int, int]) -> OrderExpr:
         raise ParityError("first-side block must be symplectic")
     if bp and sign * (1 if bp % 2 else -1) != 1:
         raise ParityError("second-side block must be orthogonal")
-    expr = OrderExpr.of(0)
-    for d in clebsch_gordan(b, bp) if b and bp else []:
-        expr += global_block_order(v, v, d, HALF)
-    if b:
-        for d in sym2_sl2(b):
-            expr -= square_block_order("sym2", v, d)
-        for d in alt2_sl2(b):
-            expr -= square_block_order("alt2", v, d)
-    if bp:
-        for d in alt2_sl2(bp):
-            expr -= square_block_order("sym2", v, d)
-        for d in sym2_sl2(bp):
-            expr -= square_block_order("alt2", v, d)
-    return expr
+    num, den = _row_order(v, b, bp, True)
+    return OrderExpr.total(num) - OrderExpr.total(den)

@@ -84,6 +84,24 @@ class BudgetError(AparamError):
     """An enumeration or search exceeded its declared budget."""
 
 
+def read_field(rec, key: str, kind: type, default=None):
+    """``rec[key]`` from a JSON input object, or ``default`` when the key is absent.
+
+    ParseError when ``rec`` is no object, when the key is absent and there is
+    no default, or when the value is not exactly of type ``kind`` (so neither
+    ``true`` nor ``2.5`` is an ``int``).
+    """
+    if not isinstance(rec, dict):
+        raise ParseError(f"expected a JSON object, got {json.dumps(rec, default=str)}")
+    if key not in rec and default is None:
+        raise ParseError(f"missing field {key!r} in {json.dumps(rec, default=str)}")
+    val = rec.get(key, default)
+    if type(val) is not kind:
+        got = json.dumps(val, default=str)
+        raise ParseError(f"field {key!r} must be {kind.__name__}, got {got}")
+    return val
+
+
 ORTH = "orthogonal"
 SYMPL = "symplectic"
 CONJ_ORTH = "conjugate-orthogonal"
@@ -187,14 +205,15 @@ class SymbolTable:
         if isinstance(data, str):
             data = json.loads(data)
         syms = []
-        for rec in data.get("symbols", []):
+        for rec in read_field(data, "symbols", list, []):
+            sid = read_field(rec, "id", str)
             syms.append(
                 WeilSymbol(
-                    rec["id"],
-                    int(rec.get("dim", 1)),
-                    rec.get("duality", NONE),
-                    rec.get("dual_id", rec["id"]),
-                    bool(rec.get("is_trivial", rec["id"] == "1")),
+                    sid,
+                    read_field(rec, "dim", int, 1),
+                    read_field(rec, "duality", str, NONE),
+                    read_field(rec, "dual_id", str, sid),
+                    read_field(rec, "is_trivial", bool, sid == "1"),
                 )
             )
         return cls(syms)
@@ -646,13 +665,13 @@ def enumerate_params(
 
 
 def param_from_json(data: dict, symtab: SymbolTable) -> AParam:
-    parity = data.get("parity", "gl")
+    parity = read_field(data, "parity", str, "gl")
     if "expr" in data:
-        return parse_param(data["expr"], symtab, parity)
-    terms = [
-        ATerm(symtab[rec["weil"]], int(rec.get("d", 1)), int(rec.get("a", 1)), int(rec.get("mult", 1)))
-        for rec in data.get("terms", [])
-    ]
+        return parse_param(read_field(data, "expr", str), symtab, parity)
+    terms = []
+    for rec in read_field(data, "terms", list, []):
+        dims = [read_field(rec, k, int, 1) for k in ("d", "a", "mult")]
+        terms.append(ATerm(symtab[read_field(rec, "weil", str)], *dims))
     p = AParam(terms, parity)
     if parity != "gl" and validate_parity(p):
         raise ParityError("parameter violates its declared parity")

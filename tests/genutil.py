@@ -333,3 +333,91 @@ def derivative_walk_oracle(p, k: int, z_step: int) -> set:
     if k >= 0:
         walk(0, k, [])
     return {GLProduct(t) for t in results}
+
+
+def character_oracle(m, n, table):
+    """Reference loops for the three endoscopic sign computations.
+
+    Returns ``(arthur, gg, automorphy)``: the Arthur character, the GG
+    character and the automorphy dict (without the special-pair assertion),
+    each family of each computed by its own hand-written restricted-product
+    loop over the I-rows and J-rows.
+    """
+    from aparam.chars import CharacterAssignment, _row_eps
+    from aparam.relevance import endoscopic_rows
+
+    rows = endoscopic_rows(m, n)
+    i_rows = [r for r in rows if r.in_i]
+    j_rows = [r for r in rows if not r.in_i]
+
+    def mkey(r):
+        return ("M", r.weil.id, r.d_dim, r.m_dim)
+
+    def nkey(r):
+        return ("N", r.weil.id, r.d_dim, r.n_dim)
+
+    arthur = {}
+    for ri in i_rows:
+        if ri.m_dim:
+            val = 1
+            for rj in j_rows:
+                if ri.m_dim < rj.m_dim:
+                    val *= _row_eps(ri, rj, table)
+            arthur[mkey(ri)] = val
+        if ri.n_dim:
+            val = 1
+            for rj in j_rows:
+                if ri.n_dim > rj.n_dim:
+                    val *= _row_eps(ri, rj, table)
+            arthur[nkey(ri)] = val
+    for rj in j_rows:
+        if rj.m_dim:
+            val = 1
+            for ri in i_rows:
+                if ri.m_dim < rj.m_dim:
+                    val *= _row_eps(ri, rj, table)
+            arthur[mkey(rj)] = val
+        if rj.n_dim:
+            val = 1
+            for ri in i_rows:
+                if ri.n_dim > rj.n_dim:
+                    val *= _row_eps(ri, rj, table)
+            arthur[nkey(rj)] = val
+
+    gg = {}
+    for ri in i_rows:
+        if ri.m_dim:
+            val = 1
+            for rj in j_rows:
+                val *= _row_eps(ri, rj, table)
+            gg[mkey(ri)] = val
+        if ri.n_dim:
+            gg[nkey(ri)] = 1
+    for rj in j_rows:
+        if rj.m_dim:
+            gg[mkey(rj)] = 1
+        if rj.n_dim:
+            val = 1
+            for ri in i_rows:
+                val *= _row_eps(ri, rj, table)
+            gg[nkey(rj)] = val
+
+    def prod(pairs):
+        val = 1
+        for ri, rj in pairs:
+            val *= _row_eps(ri, rj, table)
+        return val
+
+    failed = []
+    for ri in i_rows:
+        if ri.m_dim and prod((ri, rj) for rj in j_rows if ri.m_dim > rj.m_dim) != 1:
+            failed.append(f"first-side product at {ri.weil.id}:D{ri.d_dim} (I-row)")
+        if ri.n_dim and prod((ri, rj) for rj in j_rows if ri.n_dim > rj.n_dim) != 1:
+            failed.append(f"second-side product at {ri.weil.id}:D{ri.d_dim} (I-row)")
+    for rj in j_rows:
+        if rj.m_dim and prod((ri, rj) for ri in i_rows if ri.m_dim < rj.m_dim) != 1:
+            failed.append(f"first-side product at {rj.weil.id}:D{rj.d_dim} (J-row)")
+        if rj.n_dim and prod((ri, rj) for ri in i_rows if ri.n_dim < rj.n_dim) != 1:
+            failed.append(f"second-side product at {rj.weil.id}:D{rj.d_dim} (J-row)")
+    automorphy = {"automorphic": not failed, "failed_conditions": failed}
+    return CharacterAssignment.of(arthur), CharacterAssignment.of(gg), automorphy

@@ -21,7 +21,7 @@ from aparam.chars import (
     without_gaps,
 )
 from aparam.relevance import is_relevant
-from genutil import TABLE, rand_discrete_pair, rand_sign_table
+from genutil import TABLE, character_oracle, rand_discrete_pair, rand_sign_table
 
 TRIV = TABLE["1"]
 ALPHA = TABLE["alpha"]
@@ -262,6 +262,23 @@ def test_arthur_character_exponent_form():
                 if min(ri.m_dim, rj.m_dim) % 2:
                     exponent *= _row_eps(ri, rj, t)
             assert restricted == exponent == c[("M", ri.weil.id, ri.d_dim, ri.m_dim)]
+
+
+def test_characters_match_reference_loops():
+    # every family of all three computations, against one loop per family
+    rng = random.Random(35)
+    ordered = 0
+    for _ in range(240):
+        m, n = rand_discrete_pair(rng)
+        t = rand_sign_table(rng)
+        arthur, gg, automorphy = character_oracle(m, n, t)
+        assert arthur_character(m, n, t) == arthur
+        assert gg_global_character(m, n, t) == gg
+        # the dicts compare failed_conditions as ordered lists
+        assert automorphy_test(m, n, t) == automorphy
+        kinds = {c[-6:] for c in automorphy["failed_conditions"]}
+        ordered += kinds == {"I-row)", "J-row)"}
+    assert ordered >= 20
 
 
 def test_gg_character_values():

@@ -245,3 +245,16 @@ def test_chars_ggp_character_command(tmp_path):
     assert code == 0
     values = {(r["side"], r["weil"], r["d"]): r["value"] for r in data["character"]}
     assert values[("M", "1", 2)] == -1 and values[("M", "1", 4)] == 1
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).parent / "golden").glob("malformed-*.json")),
+    ids=lambda p: p.stem,
+)
+def test_malformed_input_reports_error(path, tmp_path):
+    # the golden corpus pins each message; here only the contract: error JSON, exit 1
+    from test_golden import replay
+
+    code, out = replay(json.loads(path.read_text()), tmp_path)
+    assert code == 1 and list(json.loads(out)) == ["error"]

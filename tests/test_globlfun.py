@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from aparam.repcore import AParam, ATerm, AparamError, ParityError
+from aparam.repcore import AParam, ATerm, AparamError, NotDiscreteError, ParityError, parse_param
 from aparam.globlfun import (
     OrderExpr,
     diagonal_block_order,
@@ -116,3 +116,24 @@ def test_parity_preconditions():
     m = AParam([ATerm(V, 1, 1)], "symplectic")
     with pytest.raises(ParityError):
         global_ratio_order(m, m)
+
+
+@pytest.mark.parametrize(
+    "m_text, m_parity, n_text, n_parity, error",
+    [
+        ("1:D1:A2", "gl", "1:D1:A1", "orthogonal", ParityError),
+        ("1:D1:A2", "symplectic", "1:D1:A2", "symplectic", ParityError),
+        ("1:D2:A1", "symplectic", "1:D1:A1", "orthogonal", AparamError),
+        ("2*1:D1:A2", "symplectic", "1:D1:A1 + 1:D1:A3", "orthogonal", NotDiscreteError),
+        ("1:D1:A4", "symplectic", "1:D1:A1", "orthogonal", NotRelevantError),
+    ],
+    ids=["gl-parity", "same-sign", "deligne-factor", "not-discrete", "not-relevant"],
+)
+@pytest.mark.parametrize("swap", [False, True], ids=["mn", "nm"])
+def test_global_ratio_single_precondition(m_text, m_parity, n_text, n_parity, error, swap):
+    # each pair breaks exactly one precondition; the exact class is pinned
+    m = parse_param(m_text, TABLE, m_parity)
+    n = parse_param(n_text, TABLE, n_parity)
+    with pytest.raises(AparamError) as exc:
+        global_ratio_order(*((n, m) if swap else (m, n)))
+    assert type(exc.value) is error
