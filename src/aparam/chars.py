@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .repcore import (
     AParam,
@@ -38,9 +39,9 @@ from .repcore import (
 )
 from .relevance import (
     EndoRow,
+    RelevanceWitness,
     check_relevant,
     endoscopic_rows,
-    special_pairs,
 )
 
 __all__ = [
@@ -239,72 +240,48 @@ def without_gaps(m: AParam) -> bool:
     return all(d < 3 or (sid, d - 2) in have for sid, d in have)
 
 
-def _alternation_constraints(m: AParam):
-    """Pairs of forced relations on the basis, plus the forced bottom values."""
+def _runs(m: AParam) -> list[list[tuple[str, int]]]:
+    """Maximal chains (sid, d), (sid, d+2), ... of the summands, bottom first."""
     have = {(t.weil.id, t.d_dim) for t in m.terms}
-    forced = {key: -1 for key in have if key[1] == 2}
-    links = [
-        ((sid, d - 2), (sid, d)) for sid, d in have if d >= 3 and (sid, d - 2) in have
-    ]
-    return have, forced, links
+    runs = []
+    for sid, d in sorted(have):
+        if (sid, d - 2) not in have:
+            run = [(sid, d)]
+            while (sid, run[-1][1] + 2) in have:
+                run.append((sid, run[-1][1] + 2))
+            runs.append(run)
+    return runs
 
 
 def is_alternating(m: AParam, alpha: CharacterAssignment) -> bool:
-    """Whether a character flips sign along every adjacent chain pair of ``m``."""
+    """Whether a character flips sign along every run of ``m``, starting at -1 on [2]."""
     _require_tempered_discrete(m)
-    have, forced, links = _alternation_constraints(m)
+    runs = _runs(m)
     vals = {(k[1], k[2]): v for k, v in alpha.values}
-    if set(vals) != have:
+    if set(vals) != {key for run in runs for key in run}:
         raise AparamError("character domain does not match the summand set")
-    if any(vals[k] != v for k, v in forced.items()):
-        return False
-    return all(vals[hi] == -vals[lo] for lo, hi in links)
+    return all(
+        (run[0][1] != 2 or vals[run[0]] == -1)
+        and all(vals[hi] == -vals[lo] for lo, hi in zip(run, run[1:]))
+        for run in runs
+    )
 
 
 def alternating_characters(m: AParam) -> list[CharacterAssignment]:
-    """All characters alternating along every chain, bottoms at [2] pinned to -1.
+    """All characters alternating along every run, bottoms at [2] pinned to -1.
 
-    Sign links form disjoint paths (consecutive summands of one chain), so
-    each connected segment contributes one free sign unless it contains a
-    pinned bottom.
+    Each run (a maximal chain of summands two apart) takes one free sign at
+    its bottom, unless that bottom is [2]; the values then alternate upwards.
     """
     _require_tempered_discrete(m)
-    have, forced, links = _alternation_constraints(m)
-    # relative sign of each key against its segment root
-    parent = {k: k for k in have}
-    rel = {k: +1 for k in have}
-
-    def find(k):
-        if parent[k] == k:
-            return k, +1
-        root, sign = find(parent[k])
-        parent[k], rel[k] = root, sign * rel[k]
-        return root, rel[k]
-
-    for lo, hi in links:
-        rlo, slo = find(lo)
-        rhi, shi = find(hi)
-        if rlo != rhi:
-            # alpha(hi) = -alpha(lo)  =>  sign of rhi's root against rlo's
-            parent[rhi], rel[rhi] = rlo, -slo * shi
-    roots = sorted({find(k)[0] for k in have})
-    pinned = {}
-    for key, val in forced.items():
-        root, sign = find(key)
-        pinned[root] = val * sign  # value of the root itself
-    free_roots = [r for r in roots if r not in pinned]
+    runs = _runs(m)
     out = []
-    for mask in range(1 << len(free_roots)):
-        root_val = dict(pinned)
-        for bit, r in enumerate(free_roots):
-            root_val[r] = +1 if (mask >> bit) & 1 == 0 else -1
+    for bottoms in product(*(((-1,) if run[0][1] == 2 else (1, -1)) for run in runs)):
         vals = {}
-        for k in have:
-            root, sign = find(k)
-            vals[k] = root_val[root] * sign
-        out.append(
-            CharacterAssignment.of({("M", sid, d, 1): vals[(sid, d)] for sid, d in have})
-        )
+        for run, bottom in zip(runs, bottoms):
+            for k, (sid, d) in enumerate(run):
+                vals[("M", sid, d, 1)] = -bottom if k % 2 else bottom
+        out.append(CharacterAssignment.of(vals))
     return sorted(out, key=lambda c: c.values)
 
 
@@ -333,13 +310,14 @@ def _restricted_eps(row: EndoRow, others, table: SignTable) -> int:
     return val
 
 
-def _families(m: AParam, n: AParam):
+def _families(m: AParam, n: AParam, witness: RelevanceWitness | None = None):
     """Yield ``(row, basis key, b, others)`` for every basis element, I-rows first.
 
     ``b`` is the row's Arthur dimension on the key's side, M before N, and
-    ``others`` the other kind's rows with their dimension on that side.
+    ``others`` the other kind's rows with their dimension on that side.  A
+    given relevance ``witness`` of the pair spares a second descent.
     """
-    rows = endoscopic_rows(m, n)
+    rows = endoscopic_rows(m, n, witness)
     i_rows = [r for r in rows if r.in_i]
     j_rows = [r for r in rows if not r.in_i]
     for row in i_rows + j_rows:
@@ -366,24 +344,29 @@ def arthur_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssignm
     return CharacterAssignment.of(out)
 
 
+def _gg_character(m: AParam, n: AParam, table: SignTable, witness=None) -> CharacterAssignment:
+    out = {}
+    for row, key, _, others in _families(m, n, witness):
+        full = row.in_i == (key[0] == "M")
+        out[key] = _restricted_eps(row, [o for o, _ in others], table) if full else 1
+    return CharacterAssignment.of(out)
+
+
 def gg_global_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssignment:
     """The distinguished character transported to the same bases.
 
     Nonzero products appear only on the I-rows' first side and the J-rows'
     second side; the other two families are identically +1.
     """
-    out = {}
-    for row, key, _, others in _families(m, n):
-        full = row.in_i == (key[0] == "M")
-        out[key] = _restricted_eps(row, [o for o, _ in others], table) if full else 1
-    return CharacterAssignment.of(out)
+    return _gg_character(m, n, table)
 
 
 def automorphy_test(m: AParam, n: AParam, table: SignTable) -> dict:
     """Check the four product-equals-one conditions for automorphy.
 
-    When all four hold, the per-row restricted products over special pairs
-    are additionally asserted to be +1.
+    When all four hold, each row's restricted product over the partners
+    facing it (other-kind rows with its two Arthur dimensions swapped) is
+    additionally asserted to be +1.
     """
     families = list(_families(m, n))
     failed = []
@@ -392,19 +375,15 @@ def automorphy_test(m: AParam, n: AParam, table: SignTable) -> dict:
             where = "first" if side == "M" else "second"
             kind = "I" if row.in_i else "J"
             failed.append(f"{where}-side product at {row.weil.id}:D{row.d_dim} ({kind}-row)")
-    automorphic = not failed
-    if automorphic:
-        specials = special_pairs(m, n)
-        for row in dict.fromkeys(row for row, *_ in families):
-            partners = [
-                sp.j_row if row.in_i else sp.i_row
-                for sp in specials
-                if row in (sp.i_row, sp.j_row)
-            ]
-            if _restricted_eps(row, partners, table) != 1:
+    if not failed:
+        for row, (side, *_), _, others in families:
+            if side == "N" and row.m_dim:
+                continue  # the row's M entry already checked it
+            facing = [o for o, _ in others if (o.m_dim, o.n_dim) == (row.n_dim, row.m_dim)]
+            if _restricted_eps(row, facing, table) != 1:
                 kind = "an I-row" if row.in_i else "a J-row"
                 raise AparamError(f"special-pair product identity failed on {kind}")
-    return {"automorphic": automorphic, "failed_conditions": failed}
+    return {"automorphic": not failed, "failed_conditions": failed}
 
 
 def predict_multiplicity(m: AParam, n: AParam, table: SignTable) -> dict:
@@ -422,8 +401,8 @@ def predict_multiplicity(m: AParam, n: AParam, table: SignTable) -> dict:
     verdict = check_relevant(m, n)
     if not verdict:
         return {"d": 0, "character": None, "reason": verdict.reason}
-    if m.is_tempered() and n.is_tempered() and m.is_discrete() and n.is_discrete():
+    if not (m.is_discrete() and n.is_discrete()):
+        return {"d": 1, "character": None}
+    if m.is_tempered() and n.is_tempered():
         return {"d": 1, "character": ggp_character(m, n, table)}
-    if m.is_discrete() and n.is_discrete():
-        return {"d": 1, "character": gg_global_character(m, n, table)}
-    return {"d": 1, "character": None}
+    return {"d": 1, "character": _gg_character(m, n, table, verdict)}

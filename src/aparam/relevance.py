@@ -27,6 +27,7 @@ from .repcore import (
     clebsch_gordan,
     composite_sign,
     delta_map,
+    validate_parity,
     _SIGN,
 )
 
@@ -452,9 +453,7 @@ def delta_class_search(m: AParam, bound: int = 100_000) -> list[AParam]:
             raise BudgetError("diagonal-class search budget exceeded")
         if idx == len(sym_choices):
             cand = AParam(list(acc), m.parity)
-            if m.parity == "gl" or not any(
-                not _matches(t) for t in cand.terms
-            ):
+            if m.parity == "gl" or not validate_parity(cand):
                 results.add(cand)
             return
         sym, tilings = sym_choices[idx]
@@ -462,15 +461,10 @@ def delta_class_search(m: AParam, bound: int = 100_000) -> list[AParam]:
             terms = [ATerm(sym, d, a, 1) for (d, a) in tiling]
             build(idx + 1, acc + terms)
 
-    def _matches(t: ATerm) -> bool:
-        sign, conj = composite_sign(t.weil, t.d_dim, t.a_dim)
-        if sign is None:
-            return False
-        return (
-            sign == _SIGN[m.parity]
-            and conj == (m.parity in ("conjugate-orthogonal", "conjugate-symplectic"))
-        )
-
     build(0, [])
     assert m in results
-    return sorted(results, key=lambda p: tuple(t.sort_key() for t in p.terms))
+    # members that differ only in multiplicities are ordered by them: the
+    # second sort is stable; two passes keep one key list alive at a time
+    members = sorted(results, key=lambda p: tuple(t.mult for t in p.terms))
+    members.sort(key=lambda p: tuple(t.sort_key() for t in p.terms))
+    return members

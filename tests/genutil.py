@@ -421,3 +421,65 @@ def character_oracle(m, n, table):
             failed.append(f"second-side product at {rj.weil.id}:D{rj.d_dim} (J-row)")
     automorphy = {"automorphic": not failed, "failed_conditions": failed}
     return CharacterAssignment.of(arthur), CharacterAssignment.of(gg), automorphy
+
+
+def alternation_oracle(m):
+    """Reference alternation predicates by a signed union-find over chain links.
+
+    Returns ``(characters, is_alternating)``: every character of the tempered
+    discrete ``m`` alternating along each chain with bottoms at [2] pinned to
+    -1, sorted, and the predicate on one character.
+    """
+    from aparam.chars import CharacterAssignment
+    from aparam.repcore import AparamError
+
+    have = {(t.weil.id, t.d_dim) for t in m.terms}
+    forced = {key: -1 for key in have if key[1] == 2}
+    links = [
+        ((sid, d - 2), (sid, d)) for sid, d in have if d >= 3 and (sid, d - 2) in have
+    ]
+
+    def is_alternating(alpha):
+        vals = {(k[1], k[2]): v for k, v in alpha.values}
+        if set(vals) != have:
+            raise AparamError("character domain does not match the summand set")
+        if any(vals[k] != v for k, v in forced.items()):
+            return False
+        return all(vals[hi] == -vals[lo] for lo, hi in links)
+
+    # relative sign of each key against its segment root
+    parent = {k: k for k in have}
+    rel = {k: +1 for k in have}
+
+    def find(k):
+        if parent[k] == k:
+            return k, +1
+        root, sign = find(parent[k])
+        parent[k], rel[k] = root, sign * rel[k]
+        return root, rel[k]
+
+    for lo, hi in links:
+        rlo, slo = find(lo)
+        rhi, shi = find(hi)
+        if rlo != rhi:
+            # alpha(hi) = -alpha(lo)  =>  sign of rhi's root against rlo's
+            parent[rhi], rel[rhi] = rlo, -slo * shi
+    roots = sorted({find(k)[0] for k in have})
+    pinned = {}
+    for key, val in forced.items():
+        root, sign = find(key)
+        pinned[root] = val * sign  # value of the root itself
+    free_roots = [r for r in roots if r not in pinned]
+    out = []
+    for mask in range(1 << len(free_roots)):
+        root_val = dict(pinned)
+        for bit, r in enumerate(free_roots):
+            root_val[r] = +1 if (mask >> bit) & 1 == 0 else -1
+        vals = {}
+        for k in have:
+            root, sign = find(k)
+            vals[k] = root_val[root] * sign
+        out.append(
+            CharacterAssignment.of({("M", sid, d, 1): vals[(sid, d)] for sid, d in have})
+        )
+    return sorted(out, key=lambda c: c.values), is_alternating

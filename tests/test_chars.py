@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from aparam.repcore import AParam, ATerm, AparamError, NotDiscreteError, parse_param
+from aparam.repcore import (
+    AParam,
+    ATerm,
+    AparamError,
+    NotDiscreteError,
+    SymbolTable,
+    WeilSymbol,
+    enumerate_params,
+    parse_param,
+)
 from aparam.chars import (
     CharacterAssignment,
     SignTable,
@@ -21,7 +30,13 @@ from aparam.chars import (
     without_gaps,
 )
 from aparam.relevance import is_relevant
-from genutil import TABLE, character_oracle, rand_discrete_pair, rand_sign_table
+from genutil import (
+    TABLE,
+    alternation_oracle,
+    character_oracle,
+    rand_discrete_pair,
+    rand_sign_table,
+)
 
 TRIV = TABLE["1"]
 ALPHA = TABLE["alpha"]
@@ -203,6 +218,40 @@ def test_non_alternating_rejected():
     assert not supercuspidal_support(gap, anyc)
 
 
+def test_alternation_matches_union_find_oracle():
+    # every tempered discrete parameter up to dimension 12 over the trivial
+    # symbol, a symplectic one of dimension 2, an orthogonal and a symplectic
+    # one of dimension 1
+    table = SymbolTable(
+        [
+            WeilSymbol("V", 2, "symplectic", "V"),
+            WeilSymbol("W", 1, "orthogonal", "W"),
+            WeilSymbol("X", 1, "symplectic", "X"),
+        ]
+    )
+    rng = random.Random(37)
+    seen = pinned = 0
+    for parity in ("symplectic", "orthogonal"):
+        for dim in range(1, 13):
+            for m in enumerate_params(dim, table, parity, tempered_only=True):
+                if not m.is_discrete():
+                    continue
+                seen += 1
+                expected, oracle_is_alternating = alternation_oracle(m)
+                alts = alternating_characters(m)
+                assert alts == expected
+                pinned += any(t.d_dim == 2 for t in m.terms)
+                keys = [k for k, _ in alts[0].values]
+                probes = [CharacterAssignment.of({k: -v for k, v in c}) for c in alts]
+                probes += [
+                    CharacterAssignment.of({k: rng.choice((1, -1)) for k in keys})
+                    for _ in range(2)
+                ]
+                for c in alts + probes:
+                    assert is_alternating(m, c) == oracle_is_alternating(c)
+    assert seen > 600 and pinned > 100
+
+
 def test_swap_sl2_involution_and_distinction_predicate():
     rng = random.Random(32)
     for _ in range(50):
@@ -320,6 +369,36 @@ def test_automorphy_vacuous_when_dominant():
     out = automorphy_test(m, n, t)
     # the I-row product over {j: m_i > n_j} is the full product, value -1
     assert not out["automorphic"]
+
+
+def test_one_relevance_descent_per_call(monkeypatch):
+    # check_relevant looks _label_chains up in its module, so every caller is counted
+    import aparam.relevance as relevance
+    from aparam.globlfun import global_ratio_order
+
+    descents = []
+    label_chains = relevance._label_chains
+
+    def counted(m, n):
+        descents.append((m, n))
+        return label_chains(m, n)
+
+    monkeypatch.setattr(relevance, "_label_chains", counted)
+    calls = (
+        automorphy_test,
+        predict_multiplicity,
+        arthur_character,
+        gg_global_character,
+        lambda m, n, t: global_ratio_order(m, n),
+    )
+    rng = random.Random(38)
+    for _ in range(60):
+        m, n = rand_discrete_pair(rng)
+        t = rand_sign_table(rng)
+        for call in calls:
+            descents.clear()
+            call(m, n, t)
+            assert len(descents) == 1, call
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -235,6 +237,25 @@ def test_byte_determinism(pair_files):
     assert len(outs) == 1
     outs = {invoke(["relevance", "check", m, n])[1] for _ in range(3)}
     assert len(outs) == 1
+
+
+def test_delta_class_order_ignores_hash_seed(tmp_path):
+    # members that differ only in multiplicities must not keep set order
+    paths = [
+        write(tmp_path, "gl.json", {"parity": "gl", "expr": "3*1:D1:A2"}),
+        write(tmp_path, "sp.json", {"parity": "symplectic", "expr": "1:D1:A2 + 1:D2:A1 + 1:D2:A3"}),
+    ]
+    script = (
+        "import sys\nfrom aparam.cli import run\n"
+        "for p in sys.argv[1:]: run(['relevance', 'delta-class', p])"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    outs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        argv = [sys.executable, "-c", script, *paths]
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1] and outs[0].count(b'"count"') == 2
 
 
 def test_chars_ggp_character_command(tmp_path):
