@@ -257,9 +257,11 @@ def is_alternating(m: AParam, alpha: CharacterAssignment) -> bool:
     """Whether a character flips sign along every run of ``m``, starting at -1 on [2]."""
     _require_tempered_discrete(m)
     runs = _runs(m)
-    vals = {(k[1], k[2]): v for k, v in alpha.values}
-    if set(vals) != {key for run in runs for key in run}:
+    if {k for k, _ in alpha.values} != {("M", sid, d, 1) for run in runs for sid, d in run}:
         raise AparamError("character domain does not match the summand set")
+    if any(v not in (1, -1) for _, v in alpha.values):
+        raise AparamError("character values must be +1 or -1")
+    vals = {(k[1], k[2]): v for k, v in alpha.values}
     return all(
         (run[0][1] != 2 or vals[run[0]] == -1)
         and all(vals[hi] == -vals[lo] for lo, hi in zip(run, run[1:]))

@@ -236,6 +236,8 @@ def _cmd_chars_supercuspidal(args) -> int:
         for r in read_field(data, "values", list):
             side, weil = read_field(r, "side", str, "M"), read_field(r, "weil", str)
             key = (side, weil, read_field(r, "d", int), read_field(r, "a", int, 1))
+            if key in values:
+                raise ParseError("two alpha rows with side {}, weil {}, d {}, a {}".format(*key))
             values[key] = read_field(r, "value", int)
         alpha = chars_mod.CharacterAssignment.of(values)
         ok = chars_mod.supercuspidal_support(m, alpha)
@@ -289,33 +291,43 @@ def _cmd_glbranch_support(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    """Every pair of the two universes with its relevance and signed ratio order.
+
+    Each parameter is rendered, and its share of the ratio's denominator
+    computed, once per call; the partners are listed during the first
+    parameter's pass and replayed for the others.
+    """
     symtab, _ = _load_inputs(args)
     parity = args.parity
     partner = {"symplectic": "orthogonal", "orthogonal": "symplectic",
                "conjugate-symplectic": "conjugate-orthogonal",
                "conjugate-orthogonal": "conjugate-symplectic", "gl": "gl"}[parity]
+
+    def universe(dim: int, par: str):
+        for p in enumerate_params(dim, symtab, par, max_mult=args.max_mult):
+            yield p, render_param(p), lfun._self_order(p)
+
+    def listed(source, seen: list):
+        for item in source:
+            seen.append(item)
+            yield item
+
+    seen: list = []
+    partners = listed(universe(args.partner_dim, partner), seen)
     rows, visited = [], 0
-    for m in enumerate_params(args.dim, symtab, parity, max_mult=args.max_mult):
-        for n in enumerate_params(args.partner_dim, symtab, partner, max_mult=args.max_mult):
+    for m, m_text, m_den in universe(args.dim, parity):
+        for n, n_text, n_den in partners:
             visited += 1
             if visited > args.bound:
                 raise AparamError(f"enumeration bound {args.bound} exceeded")
-            verdict = rel.check_relevant(m, n)
-            row = {
-                "m": render_param(m),
-                "n": render_param(n),
-                "relevant": bool(verdict),
-            }
-            try:
-                if parity == "gl":
-                    row["signed_order"] = lfun.gl_ratio_order(m, n)
-                elif parity in ("symplectic", "conjugate-symplectic"):
-                    row["signed_order"] = lfun.bessel_ratio_order(m, n)
-                else:
-                    row["signed_order"] = lfun.bessel_ratio_order(n, m)
-            except AparamError:
-                pass
-            rows.append(row)
+            # the numerator is symmetric: either parameter may come first
+            rows.append({
+                "m": m_text,
+                "n": n_text,
+                "relevant": bool(rel.check_relevant(m, n)),
+                "signed_order": lfun._cross_order(m, n) - m_den - n_den,
+            })
+        partners = seen
     _emit({"visited": visited, "bound": args.bound, "rows": rows})
     return EXIT_OK
 

@@ -10,6 +10,18 @@ q = 0..b-1, with the first SL2 factor contributing only its top exponent.
 A block therefore has a pole at s0 exactly when the token contains the
 trivial representation and s0 + (a+b)/2 - 1 is an integer in [0, b-1]; the
 pole is simple per trivial constituent.
+
+With s2 = 2 s0 that reads: a block [a] (x) [b] has a pole exactly when
+s2 + a + b is even and a + s2 <= b.  The ratio orders (``gl_ratio_order``,
+``bessel_ratio_order``, ``adjoint_order``) count by that rule directly: a
+tensor of two summands, or a square of one, has its SL2 dimensions on
+arithmetic progressions (step 2 for Clebsch-Gordan, step 4 for the SL2
+squares), so the parity test is made once per pair of summands and the
+number of b per a has a closed form.  Only pairs of summands whose token
+holds the trivial representation are visited.  ``FormalRep`` with
+``tensor_formal``, ``sym2_formal``, ``alt2_formal`` and ``ord_at`` build
+the blocks themselves; they serve ``aparam lfun ord`` and are the oracle
+the counts are tested against.
 """
 
 from __future__ import annotations
@@ -19,12 +31,12 @@ from fractions import Fraction
 
 from .repcore import (
     AParam,
+    ATerm,
     AparamError,
     ParityError,
     WeilSymbol,
     alt2_sl2,
     clebsch_gordan,
-    dual_param,
     sym2_sl2,
     CONJ_ORTH,
     CONJ_SYMPL,
@@ -219,6 +231,90 @@ def alt2_formal(p: AParam) -> FormalRep:
 
 
 # ---------------------------------------------------------------------------
+# Pole counting without blocks.  ``s2`` is twice the evaluation point.
+
+
+def _poles(a_top: int, na: int, b_top: int, nb: int, step: int, s2: int) -> int:
+    """Blocks [a] (x) [b] with a pole at s2/2, for a and b running down from
+    ``a_top`` and ``b_top`` in ``na`` and ``nb`` steps of ``step`` (even)."""
+    if (s2 + a_top + b_top) % 2:
+        return 0
+    total = 0
+    x = a_top - step * (na - 1) + s2  # smallest a first: a pole needs b >= a + s2
+    for _ in range(na):
+        if x > b_top:
+            break
+        total += min(nb, (b_top - x) // step + 1)
+        x += step
+    return total
+
+
+def _cg_poles(t: ATerm, u: ATerm, s2: int) -> int:
+    """Poles of the blocks of rho (x) ([t.d] (x) [u.d]) (x) ([t.a] (x) [u.a])."""
+    return _poles(
+        t.d_dim + u.d_dim - 1, min(t.d_dim, u.d_dim),
+        t.a_dim + u.a_dim - 1, min(t.a_dim, u.a_dim), 2, s2,
+    )
+
+
+def _tensor_poles(m: AParam, n: AParam, s2: int, dual: bool = False) -> int:
+    """ord_at(tensor_formal(m, n), s2/2), or with ``n`` dualized when ``dual``."""
+    total = 0
+    for t in m.terms:
+        want = t.weil.id if dual else t.weil.dual_id
+        for u in n.terms:
+            if u.weil.id == want:
+                total += t.mult * u.mult * _cg_poles(t, u, s2)
+    return total
+
+
+def _square_poles(p: AParam, alt: bool, s2: int) -> int:
+    """ord_at(alt2_formal(p) if alt else sym2_formal(p), s2/2)."""
+    total = 0
+    terms = p.terms
+    for i, t in enumerate(terms):
+        w = t.weil
+        if w.selfdual:
+            # Sym^2 w holds the trivial representation when w is orthogonal,
+            # Alt^2 w when w is symplectic (a line has Alt^2 w = 0: no block).
+            orth, sympl = w.duality in (ORTH, CONJ_ORTH), w.duality in (SYMPL, CONJ_SYMPL)
+            if orth or (sympl and w.dim > 1):
+                d, a = t.d_dim, t.a_dim
+                ds, da = (2 * d - 1, (d + 1) // 2), (2 * d - 3, d // 2)
+                as_, aa = (2 * a - 1, (a + 1) // 2), (2 * a - 3, a // 2)
+                # The two SL2 squares are of one kind exactly when the square
+                # of w is of the kind of the whole square (an even number of
+                # alternating factors in Sym^2, an odd one in Alt^2).
+                if sympl == alt:
+                    single = _poles(*ds, *as_, 4, s2) + _poles(*da, *aa, 4, s2)
+                else:
+                    single = _poles(*ds, *aa, 4, s2) + _poles(*da, *as_, 4, s2)
+                total += t.mult * single
+            total += t.mult * (t.mult - 1) // 2 * _cg_poles(t, t, s2)
+        for u in terms[i + 1 :]:
+            if u.weil.id == w.dual_id:
+                total += t.mult * u.mult * _cg_poles(t, u, s2)
+    return total
+
+
+def _self_order(p: AParam) -> int:
+    """A parameter's share of a ratio's denominator: its adjoint order at 1,
+    or for gl the order of p (x) p* at 1."""
+    if p.parity == "gl":
+        return _tensor_poles(p, p, 2, dual=True)
+    return adjoint_order(p)
+
+
+def _cross_order(m: AParam, n: AParam) -> int:
+    """A ratio's numerator: the order at 1/2 of m (x) n, or for gl of
+    m (x) n* plus m* (x) n, which hold the trivial representation on the
+    same pairs of summands."""
+    if m.parity == "gl":
+        return 2 * _tensor_poles(m, n, 1, dual=True)
+    return _tensor_poles(m, n, 1)
+
+
+# ---------------------------------------------------------------------------
 # The two branching ratios.  Returned orders count poles positive and zeros
 # negative, so "pole of order >= 0" reads as result >= 0.
 
@@ -232,12 +328,8 @@ def gl_ratio_order(m: AParam, n: AParam, detail: bool = False):
     """
     if m.parity != "gl" or n.parity != "gl":
         raise ParityError("gl ratio needs two gl parameters")
-    num = ord_at(tensor_formal(m, dual_param(n)), Fraction(1, 2)) + ord_at(
-        tensor_formal(dual_param(m), n), Fraction(1, 2)
-    )
-    den = ord_at(tensor_formal(m, dual_param(m)), 1) + ord_at(
-        tensor_formal(n, dual_param(n)), 1
-    )
+    num = _cross_order(m, n)
+    den = _self_order(m) + _self_order(n)
     if detail:
         return num, den, num - den
     return num - den
@@ -246,9 +338,9 @@ def gl_ratio_order(m: AParam, n: AParam, detail: bool = False):
 def adjoint_order(p: AParam) -> int:
     """Pole order at the full shift of the adjoint factor picked by parity."""
     if p.parity in (SYMPL, CONJ_SYMPL):
-        return ord_at(sym2_formal(p), 1)
+        return _square_poles(p, False, 2)
     if p.parity in (ORTH, CONJ_ORTH):
-        return ord_at(alt2_formal(p), 1)
+        return _square_poles(p, True, 2)
     raise ParityError("adjoint factor needs a classical parity")
 
 
@@ -263,7 +355,7 @@ def bessel_ratio_order(m: AParam, n: AParam, detail: bool = False):
         raise ParityError("first parameter must be (conjugate-)symplectic")
     if n.parity not in (ORTH, CONJ_ORTH):
         raise ParityError("second parameter must be (conjugate-)orthogonal")
-    num = ord_at(tensor_formal(m, n), Fraction(1, 2))
+    num = _cross_order(m, n)
     den = adjoint_order(m) + adjoint_order(n)
     if detail:
         return num, den, num - den

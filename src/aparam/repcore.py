@@ -643,25 +643,32 @@ def enumerate_params(
                 universe.append((sym, d, a))
     universe.sort(key=lambda t: (t[0].id, t[1], t[2]))
 
-    def walk(idx: int, remaining: int, acc: list[ATerm]):
-        if remaining == 0:
-            yield AParam(list(acc), parity)
-            return
-        if idx == len(universe):
-            return
+    # Depth first with an explicit stack (its depth is the size of the
+    # universe): a frame [idx, remaining, mult] takes the universe's idx-th
+    # term with multiplicities from the largest that fits down to 0, and
+    # ``acc`` holds the terms of the frames with mult > 0.
+    acc: list[ATerm] = []
+    stack: list[list[int]] = []
+    idx, remaining = 0, total_dim
+    while True:
+        if remaining and idx < len(universe):
+            sym, d, a = universe[idx]
+            mult = remaining // (sym.dim * d * a)
+            stack.append([idx, remaining, mult if max_mult is None else min(mult, max_mult)])
+        else:
+            if remaining == 0:
+                yield AParam(list(acc), parity)
+            while stack and stack[-1][2] == 0:
+                stack.pop()
+            if not stack:
+                return
+            acc.pop()
+            stack[-1][2] -= 1
+        idx, remaining, mult = stack[-1]
         sym, d, a = universe[idx]
-        unit = sym.dim * d * a
-        top = remaining // unit
-        if max_mult is not None:
-            top = min(top, max_mult)
-        for mult in range(top, -1, -1):
-            if mult:
-                acc.append(ATerm(sym, d, a, mult))
-            yield from walk(idx + 1, remaining - mult * unit, acc)
-            if mult:
-                acc.pop()
-
-    yield from walk(0, total_dim, [])
+        if mult:
+            acc.append(ATerm(sym, d, a, mult))
+        idx, remaining = idx + 1, remaining - mult * sym.dim * d * a
 
 
 def param_from_json(data: dict, symtab: SymbolTable) -> AParam:

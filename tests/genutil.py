@@ -335,6 +335,37 @@ def derivative_walk_oracle(p, k: int, z_step: int) -> set:
     return {GLProduct(t) for t in results}
 
 
+def enumerate_params_walk(total_dim, symtab, parity="gl", max_mult=None, tempered_only=False):
+    """Reference recursive walk for ``repcore.enumerate_params``: same universe,
+    same order (multiplicities from the largest down, depth first)."""
+    from aparam.repcore import _parity_matches
+
+    universe = sorted(
+        (sym, d, a)
+        for sym in symtab.symbols()
+        for d in range(1, total_dim // sym.dim + 1)
+        for a in range(1, total_dim // (sym.dim * d) + 1)
+        if not (tempered_only and a > 1)
+        and (parity == "gl" or _parity_matches(sym, d, a, parity))
+    )
+    out = []
+
+    def walk(idx: int, remaining: int, acc: list):
+        if remaining == 0:
+            out.append(AParam(acc, parity))
+            return
+        if idx == len(universe):
+            return
+        sym, d, a = universe[idx]
+        unit = sym.dim * d * a
+        top = remaining // unit if max_mult is None else min(remaining // unit, max_mult)
+        for mult in range(top, -1, -1):
+            walk(idx + 1, remaining - mult * unit, acc + [ATerm(sym, d, a, mult)] if mult else acc)
+
+    walk(0, total_dim, [])
+    return out
+
+
 def character_oracle(m, n, table):
     """Reference loops for the three endoscopic sign computations.
 

@@ -194,6 +194,22 @@ def test_alternating_even_chain_unique():
         assert supercuspidal_support(m, alts[0])
 
 
+def test_is_alternating_strict_domain():
+    # keys are full basis keys of the M side, and values are signs
+    m = AParam([ATerm(ALPHA, 1, 1), ATerm(ALPHA, 3, 1)], "orthogonal")
+    good = {("M", "alpha", 1, 1): 1, ("M", "alpha", 3, 1): -1}
+    assert is_alternating(m, CharacterAssignment.of(good))
+    for bad in (
+        {("N", "alpha", 1, 1): 1, ("M", "alpha", 3, 1): -1},
+        {("M", "alpha", 1, 7): 1, ("M", "alpha", 3, 1): -1},
+        {**good, ("N", "alpha", 3, 1): 1},
+        {("M", "alpha", 1, 1): 5, ("M", "alpha", 3, 1): -5},
+        {("M", "alpha", 1, 1): 0, ("M", "alpha", 3, 1): -1},
+    ):
+        with pytest.raises(AparamError):
+            is_alternating(m, CharacterAssignment.of(bad))
+
+
 def test_alternating_odd_chain_two_choices():
     m = AParam([ATerm(ALPHA, 1, 1), ATerm(ALPHA, 3, 1)], "orthogonal")
     alts = alternating_characters(m)

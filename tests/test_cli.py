@@ -213,6 +213,15 @@ def test_enumerate_bound_enforced():
     assert code == 1 and "bound" in json.loads(out)["error"]
 
 
+def test_enumerate_bound_on_deep_universe():
+    # the gl universe of dimension 399 has thousands of terms: the walk must
+    # not recurse once per term, and the partners must not be listed up front
+    code, out = invoke(
+        ["enumerate", "--parity", "gl", "--dim", "400", "--partner-dim", "399", "--bound", "1"]
+    )
+    assert (code, json.loads(out)) == (1, {"error": "enumeration bound 1 exceeded"})
+
+
 def test_reproduce_registry():
     code, out = invoke(["reproduce", "sec14-counterexample-1"])
     assert code == 0 and json.loads(out)["ok"]

@@ -328,3 +328,54 @@ def test_bessel_nonnegative_mixed_sl2_suite():
         assert v >= 0
         positive += v > 0
     assert positive > 100
+
+
+def test_counting_kernel_matches_block_expansion():
+    # The ratio orders count poles per pair of summands without building
+    # blocks; they must agree with ord_at and the shift oracle on the blocks.
+    from aparam.lfun import _square_poles, _tensor_poles
+    from aparam.repcore import PARITIES, validate_parity
+
+    line = WeilSymbol("x1", 1, "symplectic", "x1")  # Alt^2 x1 = 0: no block
+    symbols = [TABLE[i] for i in TABLE] + [line]
+    pools = {
+        parity: [
+            (w, d, a)
+            for w in symbols
+            for d in range(1, 6)
+            for a in range(1, 8)
+            if parity == "gl" or not validate_parity(AParam([ATerm(w, d, a)], parity))
+        ]
+        for parity in PARITIES
+    }
+    rng = random.Random(13)
+
+    def rand_param(parity):
+        terms = [ATerm(*rng.choice(pools[parity]), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        return AParam(terms, parity)
+
+    seen_line = 0
+    for k in range(60):
+        m = rand_param(PARITIES[k % 5])
+        n = rand_param(m.parity if k % 2 else rng.choice(PARITIES))
+        seen_line += any(t.weil == line for t in m.terms)
+        for s2, s0 in ((1, Fraction(1, 2)), (2, 1)):
+            for f, got in (
+                (tensor_formal(m, n), _tensor_poles(m, n, s2)),
+                (tensor_formal(m, dual_param(n)), _tensor_poles(m, n, s2, dual=True)),
+                (sym2_formal(m), _square_poles(m, False, s2)),
+                (alt2_formal(m), _square_poles(m, True, s2)),
+            ):
+                assert got == ord_at(f, s0) == ord_oracle(f, s0), (render_param(m), render_param(n), s2)
+    assert seen_line
+    # repeated, 1-dimensional symplectic and mutually dual summands, pinned
+    rep = AParam(
+        [ATerm(TABLE["sig2"], 3, 5, 3), ATerm(line, 2, 3, 2), ATerm(TABLE["1"], 1, 4),
+         ATerm(TABLE["chi"], 2, 3), ATerm(TABLE["chid"], 1, 4, 2)],
+        "gl",
+    )
+    for s2, s0 in ((1, Fraction(1, 2)), (2, 1)):
+        assert _tensor_poles(rep, rep, s2) == ord_at(tensor_formal(rep, rep), s0)
+        assert _tensor_poles(rep, rep, s2, dual=True) == ord_at(tensor_formal(rep, dual_param(rep)), s0)
+        assert _square_poles(rep, False, s2) == ord_at(sym2_formal(rep), s0)
+        assert _square_poles(rep, True, s2) == ord_at(alt2_formal(rep), s0)

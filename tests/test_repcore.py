@@ -273,6 +273,19 @@ def test_enumerate_params_parity_filter():
         assert validate_parity(p) == []
 
 
+def test_enumerate_params_order_matches_recursive_walk():
+    from genutil import enumerate_params_walk
+
+    cases = [(3, SymbolTable(), "gl", {}), (4, SymbolTable(), "gl", {}),
+             (4, SymbolTable(), "symplectic", {})]
+    cases += [(dim, TABLE, parity, kw) for parity in ("gl", "orthogonal", "conjugate-symplectic")
+              for dim, kw in ((4, {}), (5, {"max_mult": 1}), (6, {"tempered_only": True}))]
+    for dim, table, parity, kw in cases:
+        got = list(enumerate_params(dim, table, parity, **kw))
+        assert got == enumerate_params_walk(dim, table, parity, **kw), (dim, parity, kw)
+    assert list(enumerate_params(0, TABLE, "gl")) == [AParam([], "gl")]
+
+
 def test_a_to_l_twists_symmetric():
     rng = random.Random(50)
     for _ in range(40):
