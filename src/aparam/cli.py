@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import repcore
@@ -154,10 +155,25 @@ def _cmd_relevance_special(args) -> int:
 
 
 def _cmd_relevance_delta(args) -> int:
+    """The class as ``_emit`` would print it, written one member at a time.
+
+    Every check runs before the first byte, so an error is still the only
+    thing on stdout.
+    """
     _, load = _load_inputs(args)
     m = load(args.m)
-    members = rel.delta_class_search(m, bound=args.bound)
-    _emit({"count": len(members), "members": [render_param(q) for q in members]})
+    if args.count:
+        _emit({"count": rel._delta_count(m, args.bound)[0]})
+        return EXIT_OK
+    count, members = rel._delta_stream(m, args.bound)
+    write = sys.stdout.write
+    write(f'{{\n  "count": {count},\n  "members": [')
+    sep = "\n    "
+    for q in members:
+        # the string encoder json.dumps uses, without its per-call set-up
+        write(sep + encode_basestring_ascii(render_param(q)))
+        sep = ",\n    "
+    write("\n  ]\n}\n")
     return EXIT_OK
 
 
@@ -431,8 +447,15 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on a usage error, which ``run`` prints as {"error": ...} with exit 1."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="aparam", description=__doc__)
+    ap = _Parser(prog="aparam", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_symbols(p):
@@ -460,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = grp.add_parser("delta-class")
     p.add_argument("m")
     p.add_argument("--bound", type=int, default=100_000)
+    p.add_argument("--count", action="store_true", help="print only the class size")
     add_symbols(p)
     p.set_defaults(func=_cmd_relevance_delta)
 
@@ -546,9 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AparamError as exc:
         _emit({"error": str(exc)})

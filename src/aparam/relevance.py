@@ -8,12 +8,22 @@ the Arthur factor [i+1]) with the cross-links
 
 The splitting, when it exists, is unique: the plus parts vanish at the top
 index and everything below is forced.  The free parts are m_0^- and n_0^-.
+
+``delta_class_search`` lists the parameters with a given restriction to the
+diagonal SL2.  Per symbol it tiles the restriction's dimensions by
+Clebsch-Gordan pairs (d, a), with a DP that peels the largest dimension
+left (only a pair with top d+a-1 equal to it can cover it) and takes the
+pairs of one top in non-decreasing d, so that each tiling is counted once.
+The class size, the product of the symbols' counts, is known before any
+member is built; ``bound`` caps it and the number of DP states.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .repcore import (
     AParam,
@@ -27,8 +37,8 @@ from .repcore import (
     clebsch_gordan,
     composite_sign,
     delta_map,
-    validate_parity,
     _SIGN,
+    _parity_matches,
 )
 
 __all__ = [
@@ -400,71 +410,253 @@ def correlator_witness(m: AParam, n: AParam) -> CorrelatorWitness | NotRelevant:
 # Search of the diagonal-restriction class
 
 
-def _inverse_cg(dims: tuple[int, ...], cap: list[int]) -> set[tuple[tuple[int, int], ...]]:
-    """All multisets of (d, a) pairs whose Clebsch-Gordan dimensions tile ``dims``."""
-    if not dims:
-        return {()}
-    cap[0] -= 1
-    if cap[0] < 0:
-        raise BudgetError("diagonal-class search budget exceeded")
-    top = dims[0]
-    rest = list(dims)
-    out = set()
-    for d in range(1, top + 1):
-        a = top + 1 - d
-        need = clebsch_gordan(d, a)
-        pool = list(rest)
-        ok = True
-        for x in need:
-            if x in pool:
-                pool.remove(x)
-            else:
-                ok = False
+def _minus(rest: tuple[int, ...], cover: tuple[int, ...], mult: int) -> tuple[int, ...] | None:
+    """``rest`` less ``mult`` of each count at ``cover``; None if one runs out."""
+    out = list(rest)
+    for i in cover:
+        out[i] -= mult
+        if out[i] < 0:
+            return None
+    return tuple(out)
+
+
+class _Tilings:
+    """The tilings of one symbol's diagonal dimensions by Clebsch-Gordan pairs.
+
+    A tiling is a multiset of pairs (d, a) of the parameter's parity whose
+    dimensions d+a-1, d+a-3, ..., |d-a|+1 make up the symbol's dimensions.
+    A multiset of dimensions is a tuple of counts over the distinct values
+    (ascending), and the pairs are numbered in (d, a) order, the order of the
+    terms they become.
+
+    One memoised DP gives the count and guides the listing.  Only a pair
+    with top d+a-1 equal to the largest dimension left can cover it, so the
+    DP peels that dimension and takes the pairs of one top in non-decreasing
+    d: every tiling is one path.  A state is (the counts left, the least
+    position allowed in the current top's list of pairs); its value is the
+    number of tilings and the largest least pair number among them (-1 when
+    there is none).
+    """
+
+    def __init__(self, sym: WeilSymbol, dims: list[int], parity: str):
+        vals = sorted(set(dims))
+        pos = {v: i for i, v in enumerate(vals)}
+        # a pair's dimensions run from |d-a|+1 up to d+a-1 in steps of 2, so
+        # the pairs that fit are runs of values; runs[b] lists, by growing
+        # top, (index of the top, the pairs of that run) for bottom index b
+        runs: list[list[tuple[int, list[tuple[int, int]]]]] = []
+        for bottom in vals:
+            runs.append([])
+            top = bottom
+            while top in pos:
+                ds = {(top + bottom) // 2, (top - bottom) // 2 + 1}
+                pairs = [(d, top + 1 - d) for d in sorted(ds)
+                         if parity == "gl" or _parity_matches(sym, d, top + 1 - d, parity)]
+                runs[-1].append((pos[top], pairs))
+                top += 2
+        self.pairs = sorted(pair for run in runs for _, pairs in run for pair in pairs)
+        number = {pair: j for j, pair in enumerate(self.pairs)}
+        self.runs = [[(top, [number[p] for p in pairs]) for top, pairs in run] for run in runs]
+        self.cover = [tuple(pos[x] for x in clebsch_gordan(d, a)) for d, a in self.pairs]
+        self.by_top: dict[int, list[int]] = {}
+        for j, cover in enumerate(self.cover):
+            self.by_top.setdefault(cover[0], []).append(j)
+        self.full = tuple(dims.count(v) for v in vals)
+        self.empty = (0,) * len(vals)
+        self.memo: dict[tuple, tuple[int, int]] = {(self.empty, 0): (1, len(self.pairs))}
+        self.move_memo: dict[tuple, tuple[list[int], list[tuple]]] = {}
+        self.sym = sym
+        self.terms: dict[tuple[int, int], ATerm] = {}  # (j, mult): the one shared term
+
+    def _steps(self, state):
+        rest, least = state
+        top = max(i for i, n in enumerate(rest) if n)
+        js = self.by_top.get(top, [])
+        out = []
+        for at in range(least, len(js)):
+            left = _minus(rest, self.cover[js[at]], 1)
+            if left is not None:
+                out.append((js[at], (left, at if left[top] else 0)))
+        return out
+
+    def value(self, state, budget: list[int] | None = None) -> tuple[int, int]:
+        """The DP value of ``state``, without recursion; each new state spends one of ``budget``."""
+        memo = self.memo
+        stack = [state]
+        while stack:
+            if stack[-1] in memo:
+                stack.pop()
+                continue
+            steps = self._steps(stack[-1])
+            todo = [s for _, s in steps if s not in memo]
+            if todo:
+                stack += todo
+                continue
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetError("diagonal-class search budget exceeded")
+            vals = [(j, memo[s]) for j, s in steps]
+            memo[stack.pop()] = (
+                sum(n for _, (n, _) in vals),
+                max((min(j, least) for j, (_, least) in vals), default=-1),
+            )
+        return memo[state]
+
+    def _moves(self, rest):
+        """How a tiling of ``rest`` can start: sorted (j, ((term, left), ...))
+        such that ``rest`` is ``term.mult`` of pair j plus ``left`` and
+        ``left`` is tiled by pairs numbered above j; and the list of those j."""
+        found = self.move_memo.get(rest)
+        if found is None:
+            moves = []
+            for bottom, run in enumerate(self.runs):
+                most = rest[bottom]
+                for top, js in run:
+                    most = min(most, rest[top])
+                    if not most:
+                        break
+                    for j in js:
+                        steps = []
+                        for mult in range(1, most + 1):
+                            left = _minus(rest, self.cover[j], mult)
+                            if self.value((left, 0))[1] > j:
+                                steps.append((self._term(j, mult), left))
+                        if steps:
+                            moves.append((j, tuple(steps)))
+            moves.sort()
+            found = self.move_memo[rest] = ([j for j, _ in moves], moves)
+        return found
+
+    def _term(self, j: int, mult: int) -> ATerm:
+        term = self.terms.get((j, mult))
+        if term is None:
+            d, a = self.pairs[j]
+            term = self.terms[j, mult] = ATerm(self.sym, d, a, mult)
+        return term
+
+    def _children(self, rests: dict, start: int):
+        """The walk's next pairs from ``rests``, which maps each count tuple
+        still to tile to the term tuples that leave it: (j, the same map
+        after pair j, the term tuples that end with pair j)."""
+        empty = self.empty
+        if len(rests) == 1 and len(next(iter(rests.values()))) == 1:
+            # the common case, one count tuple reached one way: nothing to merge
+            ((rest, (prefix,)),) = rests.items()
+            js, moves = self._moves(rest)
+            for j, steps in moves[bisect_left(js, start):]:
+                if len(steps) == 1:
+                    term, left = steps[0]
+                    after = [prefix + (term,)]
+                    yield (j, None, after) if left == empty else (j, {left: after}, None)
+                else:
+                    lefts = {left: [prefix + (term,)] for term, left in steps}
+                    yield j, lefts, lefts.pop(empty, None)
+            return
+        merged: dict[int, list] = {}
+        for rest, prefixes in rests.items():
+            js, moves = self._moves(rest)
+            for j, steps in moves[bisect_left(js, start):]:
+                merged.setdefault(j, []).append((prefixes, steps))
+        for j, parts in sorted(merged.items()):
+            lefts: dict[tuple, list] = {}
+            for prefixes, steps in parts:
+                for term, left in steps:
+                    lefts.setdefault(left, []).extend([v + (term,) for v in prefixes])
+            done = lefts.pop(empty, None)
+            yield j, lefts, sorted(done) if done else None
+
+    def term_sets(self, last: bool):
+        """Yield, for each set of distinct pairs that tilings use, the term
+        tuples of those tilings in increasing multiplicities.  Sets come in
+        the order of their pair sequences; a sequence that is a prefix of
+        another comes before it when ``last``, after it otherwise."""
+        frames = [(self._children({self.full: [()]}, 0), None)]
+        while frames:
+            kids, done = frames[-1]
+            for j, lefts, kid_done in kids:
+                if not lefts:
+                    yield kid_done
+                    continue
+                if kid_done and last:
+                    yield kid_done
+                frames.append((self._children(lefts, j + 1), kid_done))
                 break
-        if not ok:
-            continue
-        for tail in _inverse_cg(tuple(sorted(pool, reverse=True)), cap):
-            out.add(tuple(sorted(((d, a),) + tail)))
-    return out
+            else:
+                frames.pop()
+                if done and not last:
+                    yield done
+
+
+def _delta_count(m: AParam, bound: int) -> tuple[int, list[_Tilings]]:
+    """The size of the class of ``m`` and its per-symbol tilings, before any member is built.
+
+    BudgetError when the DP needs more than ``bound`` states.
+    """
+    if m.parity != "gl" and not m.is_discrete():
+        raise NotDiscreteError("diagonal-class search expects a discrete parameter")
+    per_symbol: dict[WeilSymbol, list[int]] = {}
+    for t in delta_map(m).terms:
+        per_symbol.setdefault(t.weil, []).extend([t.d_dim] * t.mult)
+    budget = [bound]
+    count, tilings = 1, []
+    for sym in sorted(per_symbol, key=lambda s: s.id):
+        til = _Tilings(sym, per_symbol[sym], m.parity)
+        count *= til.value((til.full, 0), budget)[0]
+        tilings.append(til)
+    return count, tilings
+
+
+def _delta_stream(m: AParam, bound: int) -> tuple[int, Iterator[AParam]]:
+    """The class size and a generator of the members in ``delta_class_search`` order.
+
+    Every check runs here, so the generator raises nothing.
+    """
+    count, tilings = _delta_count(m, bound)
+    if count > bound:
+        raise BudgetError("diagonal-class search budget exceeded")
+    return count, _members(m.parity, tilings)
+
+
+def _members(parity: str, tilings: list[_Tilings]) -> Iterator[AParam]:
+    # Members are ordered by their terms' keys (symbol id, d, a), then by the
+    # multiplicities.  A symbol's keys decide before the next symbol's, so the
+    # walk nests the symbols' pair sets and takes the multiplicities last.
+    # When another symbol follows, a set whose keys are a prefix of another's
+    # sorts after it: that symbol's keys have a larger id.
+    last = len(tilings) - 1
+
+    def combos(idx: int):
+        for terms in tilings[idx].term_sets(idx == last):
+            if idx == last:
+                yield (terms,)
+            else:
+                for rest in combos(idx + 1):
+                    yield (terms,) + rest
+
+    if not tilings:
+        yield AParam((), parity)
+        return
+    for combo in combos(0):
+        if len(combo) == 1:
+            for terms in combo[0]:
+                yield AParam(terms, parity)
+        else:
+            for parts in product(*combo):
+                yield AParam(chain.from_iterable(parts), parity)
 
 
 def delta_class_search(m: AParam, bound: int = 100_000) -> list[AParam]:
     """Parameters of the same parity and dimension with the same diagonal image.
 
-    Works by tiling each symbol's diagonal-restriction dimensions by inverse
-    Clebsch-Gordan pairs; parity-violating regroupings are discarded.  The
-    input parameter is always part of its own class.
+    Each symbol's diagonal dimensions are tiled by Clebsch-Gordan pairs
+    (d, a) of the parameter's parity.  A memoised DP peels the largest
+    dimension left, which only a pair with top d+a-1 equal to it can cover,
+    taking the pairs of one top in non-decreasing d, so that every tiling is
+    counted once; the class size is the product of the symbols' counts.
+    BudgetError is raised, before any member is built, when that size or the
+    number of DP states exceeds ``bound``.  Members come ordered by their
+    terms' keys (symbol id, d, a), then by the multiplicities.  The input
+    parameter is always part of its own class.
     """
-    if m.parity != "gl" and not m.is_discrete():
-        raise NotDiscreteError("diagonal-class search expects a discrete parameter")
-    image = delta_map(m)
-    per_symbol: dict[WeilSymbol, list[int]] = {}
-    for t in image.terms:
-        per_symbol.setdefault(t.weil, []).extend([t.d_dim] * t.mult)
-    cap = [bound]
-    sym_choices = []
-    for sym in sorted(per_symbol, key=lambda s: s.id):
-        dims = tuple(sorted(per_symbol[sym], reverse=True))
-        tilings = _inverse_cg(dims, cap)
-        sym_choices.append((sym, sorted(tilings)))
-    results = set()
-    def build(idx: int, acc: list[ATerm]):
-        if len(results) > bound:
-            raise BudgetError("diagonal-class search budget exceeded")
-        if idx == len(sym_choices):
-            cand = AParam(list(acc), m.parity)
-            if m.parity == "gl" or not validate_parity(cand):
-                results.add(cand)
-            return
-        sym, tilings = sym_choices[idx]
-        for tiling in tilings:
-            terms = [ATerm(sym, d, a, 1) for (d, a) in tiling]
-            build(idx + 1, acc + terms)
-
-    build(0, [])
-    assert m in results
-    # members that differ only in multiplicities are ordered by them: the
-    # second sort is stable; two passes keep one key list alive at a time
-    members = sorted(results, key=lambda p: tuple(t.mult for t in p.terms))
-    members.sort(key=lambda p: tuple(t.sort_key() for t in p.terms))
-    return members
+    return list(_delta_stream(m, bound)[1])

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 __all__ = [
     "AparamError",
@@ -233,7 +234,7 @@ def sl2_sign(m: int) -> int:
     return +1 if m % 2 == 1 else -1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ATerm:
     """One summand rho (x) [d_dim] (x) [a_dim] with a positive multiplicity."""
 
@@ -283,26 +284,32 @@ class AParam:
     """A canonically merged formal sum of ATerms, tagged with a parity.
 
     Terms are kept sorted by (symbol id, d_dim, a_dim) and merged, so equal
-    parameters compare and render identically.
+    parameters compare and render identically.  Input that is already
+    canonical (exact ATerms, strictly increasing in that key) is kept as it
+    is, so callers that build many parameters can share their terms.
     """
 
-    __slots__ = ("terms", "parity")
+    __slots__ = ("terms", "parity", "_dim")
 
     def __init__(self, terms, parity: str = "gl"):
         if parity not in PARITIES:
             raise ParityError(f"unknown parity {parity!r}")
-        merged: dict[tuple, list] = {}
-        for t in terms:
-            key = t.sort_key()
-            if key in merged:
-                merged[key][1] += t.mult
-            else:
-                merged[key] = [t, t.mult]
-        out = tuple(
-            ATerm(t.weil, t.d_dim, t.a_dim, m)
-            for t, m in (merged[k] for k in sorted(merged))
-        )
-        object.__setattr__(self, "terms", out)
+        terms = tuple(terms)
+        exact = set(map(type, terms)) <= {ATerm}
+        keys = list(map(ATerm.sort_key, terms)) if exact else None
+        if keys is None or not all(map(lt, keys, keys[1:])):
+            merged: dict[tuple, list] = {}
+            for t in terms:
+                key = t.sort_key()
+                if key in merged:
+                    merged[key][1] += t.mult
+                else:
+                    merged[key] = [t, t.mult]
+            terms = tuple(
+                ATerm(t.weil, t.d_dim, t.a_dim, m)
+                for t, m in (merged[k] for k in sorted(merged))
+            )
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "parity", parity)
 
     def __setattr__(self, *a):
@@ -323,7 +330,12 @@ class AParam:
 
     @property
     def dim(self) -> int:
-        return sum(t.dim for t in self.terms)
+        """Computed on first use and kept."""
+        try:
+            return self._dim
+        except AttributeError:
+            object.__setattr__(self, "_dim", sum(t.dim for t in self.terms))
+            return self._dim
 
     def is_empty(self) -> bool:
         return not self.terms

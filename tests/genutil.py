@@ -5,7 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from aparam.repcore import AParam, ATerm, SymbolTable, WeilSymbol
+from aparam.repcore import (
+    AParam,
+    ATerm,
+    BudgetError,
+    NotDiscreteError,
+    SymbolTable,
+    WeilSymbol,
+    clebsch_gordan,
+    delta_map,
+    validate_parity,
+)
 from aparam.chars import SignTable
 
 
@@ -514,3 +524,75 @@ def alternation_oracle(m):
             CharacterAssignment.of({("M", sid, d, 1): vals[(sid, d)] for sid, d in have})
         )
     return sorted(out, key=lambda c: c.values), is_alternating
+
+
+def _inverse_cg_oracle(dims: tuple[int, ...], cap: list[int]) -> set[tuple[tuple[int, int], ...]]:
+    """All multisets of (d, a) pairs whose Clebsch-Gordan dimensions tile ``dims``."""
+    if not dims:
+        return {()}
+    cap[0] -= 1
+    if cap[0] < 0:
+        raise BudgetError("diagonal-class search budget exceeded")
+    top = dims[0]
+    rest = list(dims)
+    out = set()
+    for d in range(1, top + 1):
+        a = top + 1 - d
+        need = clebsch_gordan(d, a)
+        pool = list(rest)
+        ok = True
+        for x in need:
+            if x in pool:
+                pool.remove(x)
+            else:
+                ok = False
+                break
+        if not ok:
+            continue
+        for tail in _inverse_cg_oracle(tuple(sorted(pool, reverse=True)), cap):
+            out.add(tuple(sorted(((d, a),) + tail)))
+    return out
+
+
+def delta_class_oracle(m: AParam, bound: int = 100_000) -> list[AParam]:
+    """The counting DP's oracle: every peel order, deduplicated in sets, then sorted.
+
+    Parameters of the same parity and dimension with the same diagonal image.
+
+    Works by tiling each symbol's diagonal-restriction dimensions by inverse
+    Clebsch-Gordan pairs; parity-violating regroupings are discarded.  The
+    input parameter is always part of its own class.
+    """
+    if m.parity != "gl" and not m.is_discrete():
+        raise NotDiscreteError("diagonal-class search expects a discrete parameter")
+    image = delta_map(m)
+    per_symbol: dict[WeilSymbol, list[int]] = {}
+    for t in image.terms:
+        per_symbol.setdefault(t.weil, []).extend([t.d_dim] * t.mult)
+    cap = [bound]
+    sym_choices = []
+    for sym in sorted(per_symbol, key=lambda s: s.id):
+        dims = tuple(sorted(per_symbol[sym], reverse=True))
+        tilings = _inverse_cg_oracle(dims, cap)
+        sym_choices.append((sym, sorted(tilings)))
+    results = set()
+    def build(idx: int, acc: list[ATerm]):
+        if len(results) > bound:
+            raise BudgetError("diagonal-class search budget exceeded")
+        if idx == len(sym_choices):
+            cand = AParam(list(acc), m.parity)
+            if m.parity == "gl" or not validate_parity(cand):
+                results.add(cand)
+            return
+        sym, tilings = sym_choices[idx]
+        for tiling in tilings:
+            terms = [ATerm(sym, d, a, 1) for (d, a) in tiling]
+            build(idx + 1, acc + terms)
+
+    build(0, [])
+    assert m in results
+    # members that differ only in multiplicities are ordered by them: the
+    # second sort is stable; two passes keep one key list alive at a time
+    members = sorted(results, key=lambda p: tuple(t.mult for t in p.terms))
+    members.sort(key=lambda p: tuple(t.sort_key() for t in p.terms))
+    return members

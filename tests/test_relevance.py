@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from aparam.repcore import AParam, ATerm, BudgetError, SymbolTable, WeilSymbol, parse_param, render_param
+from aparam.repcore import (
+    AParam,
+    ATerm,
+    BudgetError,
+    SymbolTable,
+    WeilSymbol,
+    enumerate_params,
+    parse_param,
+    render_param,
+)
+from aparam import relevance
 from aparam.relevance import (
     NotRelevant,
     brute_force_relevant,
@@ -13,7 +23,7 @@ from aparam.relevance import (
     is_relevant,
     special_pairs,
 )
-from genutil import TABLE, rand_relevant_gl, rand_discrete_pair, rand_mult_free_pair
+from genutil import TABLE, delta_class_oracle, rand_relevant_gl, rand_discrete_pair, rand_mult_free_pair
 
 
 def p(text, parity="gl", table=TABLE):
@@ -230,6 +240,64 @@ def test_delta_class_budget():
     m = AParam([ATerm(TABLE["1"], 2 * i, 1) for i in range(1, 7)], "symplectic")
     with pytest.raises(BudgetError):
         delta_class_search(m, bound=3)
+
+
+def _delta_oracle_inputs():
+    rng = random.Random(20)
+    chains = [(n, sid) for n in range(1, 8) for sid in ("1", "alpha", "sig2")]
+    for n, sid in chains + [(8, rng.choice(("1", "alpha", "sig2")))]:
+        terms = [f"{sid}:D1:A{2 * i}" for i in range(1, n + 1)]
+        rng.shuffle(terms)
+        yield parse_param(" + ".join(terms), TABLE, "symplectic")
+    # 1, alpha (orthogonal), rho2 (symplectic, dim 2), chi and its dual chid
+    small = SymbolTable([TABLE["alpha"], TABLE["rho2"], TABLE["chi"]])
+    for parity in ("symplectic", "orthogonal"):
+        for dim in range(1, 8):
+            yield from enumerate_params(dim, small, parity, max_mult=1)
+    for dim in range(1, 5):
+        yield from enumerate_params(dim, small, "gl")
+    # repeated dimensions, so that one set of pairs has several multiplicity vectors
+    for dim in range(5, 8):
+        yield from enumerate_params(dim, SymbolTable([TABLE["alpha"]]), "gl")
+
+
+def test_delta_class_matches_search_oracle():
+    # the counting DP lists exactly the oracle's members, in its order
+    # (keys first, then multiplicities; the prefix rule across symbols), and
+    # its count is their number
+    for m in _delta_oracle_inputs():
+        members = delta_class_search(m, bound=10**6)
+        assert members == delta_class_oracle(m, bound=10**6), (render_param(m), m.parity)
+        assert relevance._delta_count(m, 10**6)[0] == len(members)
+    # A discrete parameter's dimensions never admit a pair of the wrong
+    # duality (the duality of rho (x) [d] (x) [a] follows from the parity of
+    # d+a-1), so the check at selection shows only on other dimensions: the
+    # pairs (1, 3) and (3, 1) of dimension 3 are orthogonal on the trivial symbol.
+    assert relevance._Tilings(TABLE["1"], [2, 3], "symplectic").pairs == [(1, 2), (2, 1)]
+
+
+def test_delta_class_budget_before_any_member(monkeypatch):
+    # the class size (2 * 3^10 here) and the DP states are checked before the
+    # first member is built
+    built = []
+    real = relevance.AParam
+    monkeypatch.setattr(relevance, "AParam", lambda *a: built.append(a) or real(*a))
+    chain = AParam([ATerm(TABLE["1"], 1, 2 * i) for i in range(1, 12)], "symplectic")
+    for bound in (100_000, 3):
+        with pytest.raises(BudgetError):
+            delta_class_search(chain, bound=bound)
+    assert built == []
+    assert len(delta_class_search(AParam(chain.terms[:4], "symplectic"))) == 54
+    assert built
+
+
+def test_delta_class_deep_multiplicity():
+    # a tiling of 5000 equal dimensions is a path of 5000 pairs, deeper than
+    # Python's recursion limit: the DP must not recurse along it
+    m = AParam([ATerm(TABLE["1"], 1, 2, 5000)], "gl")
+    assert relevance._delta_count(m, 100_000)[0] == 5001
+    members = delta_class_search(AParam([ATerm(TABLE["1"], 1, 2, 40)], "gl"))
+    assert [render_param(q) for q in members[:2]] == ["40*1:D1:A2", "1:D1:A2 + 39*1:D2:A1"]
 
 
 def test_witness_parity_propagation():
