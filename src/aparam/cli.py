@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import repcore
@@ -162,16 +161,12 @@ def _cmd_relevance_delta(args) -> int:
     """
     _, load = _load_inputs(args)
     m = load(args.m)
-    if args.count:
-        _emit({"count": rel._delta_count(m, args.bound)[0]})
-        return EXIT_OK
     count, members = rel._delta_stream(m, args.bound)
     write = sys.stdout.write
     write(f'{{\n  "count": {count},\n  "members": [')
     sep = "\n    "
     for q in members:
-        # the string encoder json.dumps uses, without its per-call set-up
-        write(sep + encode_basestring_ascii(render_param(q)))
+        write(sep + json.dumps(render_param(q)))
         sep = ",\n    "
     write("\n  ]\n}\n")
     return EXIT_OK
@@ -483,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = grp.add_parser("delta-class")
     p.add_argument("m")
     p.add_argument("--bound", type=int, default=100_000)
-    p.add_argument("--count", action="store_true", help="print only the class size")
     add_symbols(p)
     p.set_defaults(func=_cmd_relevance_delta)
 

@@ -539,20 +539,6 @@ class _Tilings:
         """The walk's next pairs from ``rests``, which maps each count tuple
         still to tile to the term tuples that leave it: (j, the same map
         after pair j, the term tuples that end with pair j)."""
-        empty = self.empty
-        if len(rests) == 1 and len(next(iter(rests.values()))) == 1:
-            # the common case, one count tuple reached one way: nothing to merge
-            ((rest, (prefix,)),) = rests.items()
-            js, moves = self._moves(rest)
-            for j, steps in moves[bisect_left(js, start):]:
-                if len(steps) == 1:
-                    term, left = steps[0]
-                    after = [prefix + (term,)]
-                    yield (j, None, after) if left == empty else (j, {left: after}, None)
-                else:
-                    lefts = {left: [prefix + (term,)] for term, left in steps}
-                    yield j, lefts, lefts.pop(empty, None)
-            return
         merged: dict[int, list] = {}
         for rest, prefixes in rests.items():
             js, moves = self._moves(rest)
@@ -563,7 +549,7 @@ class _Tilings:
             for prefixes, steps in parts:
                 for term, left in steps:
                     lefts.setdefault(left, []).extend([v + (term,) for v in prefixes])
-            done = lefts.pop(empty, None)
+            done = lefts.pop(self.empty, None)
             yield j, lefts, sorted(done) if done else None
 
     def term_sets(self, last: bool):

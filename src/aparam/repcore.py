@@ -16,7 +16,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
 
 __all__ = [
     "AparamError",
@@ -284,32 +283,22 @@ class AParam:
     """A canonically merged formal sum of ATerms, tagged with a parity.
 
     Terms are kept sorted by (symbol id, d_dim, a_dim) and merged, so equal
-    parameters compare and render identically.  Input that is already
-    canonical (exact ATerms, strictly increasing in that key) is kept as it
-    is, so callers that build many parameters can share their terms.
+    parameters compare and render identically.  An input term that
+    nothing merges with is kept as it is (ATerms are immutable), so callers
+    that build many parameters can share their terms.
     """
 
-    __slots__ = ("terms", "parity", "_dim")
+    __slots__ = ("terms", "parity")
 
     def __init__(self, terms, parity: str = "gl"):
         if parity not in PARITIES:
             raise ParityError(f"unknown parity {parity!r}")
-        terms = tuple(terms)
-        exact = set(map(type, terms)) <= {ATerm}
-        keys = list(map(ATerm.sort_key, terms)) if exact else None
-        if keys is None or not all(map(lt, keys, keys[1:])):
-            merged: dict[tuple, list] = {}
-            for t in terms:
-                key = t.sort_key()
-                if key in merged:
-                    merged[key][1] += t.mult
-                else:
-                    merged[key] = [t, t.mult]
-            terms = tuple(
-                ATerm(t.weil, t.d_dim, t.a_dim, m)
-                for t, m in (merged[k] for k in sorted(merged))
-            )
-        object.__setattr__(self, "terms", terms)
+        merged: dict[tuple, ATerm] = {}
+        for t in terms:
+            key = t.sort_key()
+            u = merged.get(key)
+            merged[key] = t if u is None else ATerm(u.weil, u.d_dim, u.a_dim, u.mult + t.mult)
+        object.__setattr__(self, "terms", tuple(merged[k] for k in sorted(merged)))
         object.__setattr__(self, "parity", parity)
 
     def __setattr__(self, *a):
@@ -330,12 +319,7 @@ class AParam:
 
     @property
     def dim(self) -> int:
-        """Computed on first use and kept."""
-        try:
-            return self._dim
-        except AttributeError:
-            object.__setattr__(self, "_dim", sum(t.dim for t in self.terms))
-            return self._dim
+        return sum(t.dim for t in self.terms)
 
     def is_empty(self) -> bool:
         return not self.terms

@@ -288,3 +288,14 @@ def test_malformed_input_reports_error(path, tmp_path):
 
     code, out = replay(json.loads(path.read_text()), tmp_path)
     assert code == 1 and list(json.loads(out)) == ["error"]
+
+
+def test_usage_errors_keep_exit_contract():
+    # argparse's wording (the list of subcommands, its quoting) varies across
+    # Python versions, so an unknown subcommand is checked by contract only
+    code, out = invoke(["frobnicate", "m.json"])
+    assert code == 1 and list(json.loads(out)) == ["error"]
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        run(["relevance", "delta-class", "--help"])
+    assert exc.value.code == 0 and "--bound" in buf.getvalue()
