@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import repcore
 from .repcore import (
     AParam,
     AparamError,
+    BudgetError,
     ParseError,
     SymbolTable,
     enumerate_params,
@@ -37,6 +39,11 @@ EXIT_NO = 2
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ParseError(f"--bound must be positive, got {bound}")
 
 
 def _load_json(path: str) -> dict:
@@ -159,6 +166,7 @@ def _cmd_relevance_delta(args) -> int:
     Every check runs before the first byte, so an error is still the only
     thing on stdout.
     """
+    _check_bound(args.bound)
     _, load = _load_inputs(args)
     m = load(args.m)
     count, members = rel._delta_stream(m, args.bound)
@@ -304,10 +312,15 @@ def _cmd_glbranch_support(args) -> int:
 def _cmd_enumerate(args) -> int:
     """Every pair of the two universes with its relevance and signed ratio order.
 
-    Each parameter is rendered, and its share of the ratio's denominator
-    computed, once per call; the partners are listed during the first
-    parameter's pass and replayed for the others.
+    The payload is the one ``_emit`` would print, written one row at a time,
+    so memory does not grow with the output.  The bound is checked before
+    the first byte, so an error is still the only thing on stdout: the
+    partner universe is listed until it holds more than ``--bound``
+    parameters, then the first universe until the two sizes multiply past
+    the bound.  Each parameter is rendered, and its share of the ratio's
+    denominator computed, once per call.
     """
+    _check_bound(args.bound)
     symtab, _ = _load_inputs(args)
     parity = args.parity
     partner = {"symplectic": "orthogonal", "orthogonal": "symplectic",
@@ -316,30 +329,30 @@ def _cmd_enumerate(args) -> int:
 
     def universe(dim: int, par: str):
         for p in enumerate_params(dim, symtab, par, max_mult=args.max_mult):
-            yield p, render_param(p), lfun._self_order(p)
+            yield p, json.dumps(render_param(p)), lfun._self_order(p)
 
-    def listed(source, seen: list):
-        for item in source:
-            seen.append(item)
-            yield item
-
-    seen: list = []
-    partners = listed(universe(args.partner_dim, partner), seen)
-    rows, visited = [], 0
-    for m, m_text, m_den in universe(args.dim, parity):
-        for n, n_text, n_den in partners:
-            visited += 1
-            if visited > args.bound:
-                raise AparamError(f"enumeration bound {args.bound} exceeded")
+    ns = list(islice(universe(args.partner_dim, partner), args.bound + 1))
+    ms = []
+    for item in universe(args.dim, parity):
+        if not ns:
+            break
+        ms.append(item)
+        if len(ms) * len(ns) > args.bound:
+            raise BudgetError(f"enumeration bound {args.bound} exceeded")
+    write = sys.stdout.write
+    write(f'{{\n  "bound": {args.bound},\n  "rows": [')
+    sep = "\n"
+    for m, m_text, m_den in ms:
+        head = f'    {{\n      "m": {m_text},\n      "n": '
+        for n, n_text, n_den in ns:
+            relevant = "true" if rel.check_relevant(m, n) else "false"
             # the numerator is symmetric: either parameter may come first
-            rows.append({
-                "m": m_text,
-                "n": n_text,
-                "relevant": bool(rel.check_relevant(m, n)),
-                "signed_order": lfun._cross_order(m, n) - m_den - n_den,
-            })
-        partners = seen
-    _emit({"visited": visited, "bound": args.bound, "rows": rows})
+            order = lfun._cross_order(m, n) - m_den - n_den
+            write(f'{sep}{head}{n_text},\n      "relevant": {relevant},\n'
+                  f'      "signed_order": {order}\n    }}')
+            sep = ",\n"
+    tail = "\n  ]" if ms else "]"
+    write(f'{tail},\n  "visited": {len(ms) * len(ns)}\n}}\n')
     return EXIT_OK
 
 

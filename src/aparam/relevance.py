@@ -130,11 +130,49 @@ class NotRelevant:
         )
 
 
-def _label_chains(m: AParam, n: AParam) -> dict[Label, tuple[dict[int, int], dict[int, int]]]:
-    cm, cn = m.chains(), n.chains()
-    out = {}
-    for lab in sorted(set(cm) | set(cn), key=lambda L: (L[0].id, L[1])):
-        out[lab] = (cm.get(lab, {}), cn.get(lab, {}))
+def _grouped(p: AParam) -> list[tuple[tuple[str, int], WeilSymbol, dict[int, int]]]:
+    """The chains of ``p`` as ((symbol id, d), symbol, chain), in label order.
+
+    ``p.terms`` is sorted by (symbol id, d, a), so each label's terms are
+    adjacent.
+    """
+    out = []
+    key = sym = links = None
+    for t in p.terms:
+        w = t.weil
+        if (w.id, t.d_dim) != key:
+            key, sym, links = (w.id, t.d_dim), w, {}
+            out.append((key, sym, links))
+        elif w is not sym and w != sym:
+            raise AparamError(f"two different symbols share the id {w.id!r}")
+        links[t.a_dim - 1] = t.mult
+    return out
+
+
+def _label_chains(m: AParam, n: AParam) -> list[tuple[Label, tuple[dict[int, int], dict[int, int]]]]:
+    """Every label of m or n with its two chains, sorted by (symbol id, d).
+
+    One merge of the two parameters' label-ordered chains.
+    """
+    gm, gn = _grouped(m), _grouped(n)
+    out = []
+    i = j = 0
+    while i < len(gm) and j < len(gn):
+        (km, sm, cm), (kn, sn, cn) = gm[i], gn[j]
+        if km < kn:
+            out.append(((sm, km[1]), (cm, {})))
+            i += 1
+        elif kn < km:
+            out.append(((sn, kn[1]), ({}, cn)))
+            j += 1
+        else:
+            if sm is not sn and sm != sn:
+                raise AparamError(f"two different symbols share the id {sm.id!r}")
+            out.append(((sm, km[1]), (cm, cn)))
+            i += 1
+            j += 1
+    out.extend(((s, k[1]), (c, {})) for k, s, c in gm[i:])
+    out.extend(((s, k[1]), ({}, c)) for k, s, c in gn[j:])
     return out
 
 
@@ -167,7 +205,7 @@ def check_relevant(m: AParam, n: AParam) -> RelevanceWitness | NotRelevant:
     are tempered.
     """
     labels = []
-    for lab, (mc, nc) in _label_chains(m, n).items():
+    for lab, (mc, nc) in _label_chains(m, n):
         w, err = _descend(mc, nc)
         if w is None:
             side, i, deficit = err
@@ -194,7 +232,7 @@ def brute_force_relevant(
     most one witness per label (uniqueness).
     """
     labels = []
-    for lab, (mc, nc) in _label_chains(m, n).items():
+    for lab, (mc, nc) in _label_chains(m, n):
         top = max(list(mc) + list(nc), default=-1)
         size = top + 1
         ms = [mc.get(i, 0) for i in range(size)]

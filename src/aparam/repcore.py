@@ -531,15 +531,20 @@ def fmt_half(x: Fraction | int) -> int | str:
 
 
 def parse_half(v) -> Fraction:
-    """Accept ints, 'p/q' strings and exact decimal halves."""
+    """Accept Fractions, ints, and 'p/q' or exact decimal strings such as '0.5'.
+
+    A float is refused with ParseError: inputs are exact, and a float holds
+    a binary approximation of what was written.
+    """
     if isinstance(v, Fraction):
         x = v
     elif isinstance(v, int):
         x = Fraction(v)
     elif isinstance(v, str):
-        x = Fraction(v)
-    elif isinstance(v, float):
-        x = Fraction(v)
+        try:
+            x = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"cannot read half-integer from {v!r}") from None
     else:
         raise ParseError(f"cannot read half-integer from {v!r}")
     if x.denominator not in (1, 2):

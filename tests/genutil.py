@@ -345,6 +345,19 @@ def derivative_walk_oracle(p, k: int, z_step: int) -> set:
     return {GLProduct(t) for t in results}
 
 
+def label_chains_oracle(m: AParam, n: AParam) -> dict:
+    """The labels of m or n with their two chains, by a set union and a sort.
+
+    The oracle of ``relevance._label_chains``, which merges the two
+    parameters' sorted terms instead.
+    """
+    cm, cn = m.chains(), n.chains()
+    out = {}
+    for lab in sorted(set(cm) | set(cn), key=lambda L: (L[0].id, L[1])):
+        out[lab] = (cm.get(lab, {}), cn.get(lab, {}))
+    return out
+
+
 def enumerate_params_walk(total_dim, symtab, parity="gl", max_mult=None, tempered_only=False):
     """Reference recursive walk for ``repcore.enumerate_params``: same universe,
     same order (multiplicities from the largest down, depth first)."""

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from aparam.cli import run
+from aparam.cli import build_parser, run
+from aparam.repcore import PARITIES, BudgetError
+from genutil import TABLE
 
 
 def invoke(argv):
@@ -215,11 +217,49 @@ def test_enumerate_bound_enforced():
 
 def test_enumerate_bound_on_deep_universe():
     # the gl universe of dimension 399 has thousands of terms: the walk must
-    # not recurse once per term, and the partners must not be listed up front
+    # not recurse once per term, and the partners are listed only up to the bound
     code, out = invoke(
         ["enumerate", "--parity", "gl", "--dim", "400", "--partner-dim", "399", "--bound", "1"]
     )
     assert (code, json.loads(out)) == (1, {"error": "enumeration bound 1 exceeded"})
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+def test_enumerate_stream_is_the_json_dump(parity, tmp_path):
+    # the rows are written from a template; they must be what json.dumps prints
+    table = write(tmp_path, "table.json", TABLE.to_json())
+    empty, verdicts = set(), set()
+    dims = [(1, 2), (2, 1), (2, 3), (3, 2)] + ([] if parity == "gl" else [(4, 3), (4, 5), (5, 4)])
+    for dim, pdim in dims:
+        argv = ["enumerate", "--parity", parity, "--dim", str(dim),
+                "--partner-dim", str(pdim), "--symbols", table]
+        code, out = invoke(argv)
+        data = json.loads(out)
+        assert code == 0 and out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert data["visited"] == len(data["rows"])
+        empty.add(not data["rows"])
+        verdicts.update(row["relevant"] for row in data["rows"])
+    assert verdicts == {False, True}
+    # a gl universe of nonnegative dimension is never empty
+    assert empty == ({False} if parity == "gl" else {False, True})
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_nonpositive_bound_is_a_usage_error(bound, tmp_path):
+    m = write(tmp_path, "m.json", {"parity": "symplectic", "expr": "1:D1:A2 + 1:D1:A4"})
+    for argv in (["enumerate", "--dim", "4", "--partner-dim", "3"], ["relevance", "delta-class", m]):
+        code, out = invoke(argv + ["--bound", bound])
+        assert (code, json.loads(out)) == (1, {"error": f"--bound must be positive, got {bound}"})
+
+
+def test_enumerate_bound_is_a_budget_error():
+    # 5 x 3 rows: 15 fit, 14 do not
+    argv = ["enumerate", "--parity", "symplectic", "--dim", "4", "--partner-dim", "3", "--bound"]
+    args = build_parser().parse_args(argv + ["14"])
+    with pytest.raises(BudgetError, match="^enumeration bound 14 exceeded$"):
+        args.func(args)
+    code, out = invoke(argv + ["15"])
+    assert code == 0 and json.loads(out)["visited"] == 15
 
 
 def test_reproduce_registry():

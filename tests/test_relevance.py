@@ -5,6 +5,7 @@ import pytest
 from aparam.repcore import (
     AParam,
     ATerm,
+    AparamError,
     BudgetError,
     SymbolTable,
     WeilSymbol,
@@ -23,7 +24,7 @@ from aparam.relevance import (
     is_relevant,
     special_pairs,
 )
-from genutil import TABLE, delta_class_oracle, rand_relevant_gl, rand_discrete_pair, rand_mult_free_pair
+from genutil import TABLE, delta_class_oracle, label_chains_oracle, rand_relevant_gl, rand_discrete_pair, rand_mult_free_pair
 
 
 def p(text, parity="gl", table=TABLE):
@@ -32,6 +33,41 @@ def p(text, parity="gl", table=TABLE):
 
 # ---------------------------------------------------------------------------
 # check_relevant
+
+
+def test_label_merge_matches_oracle():
+    # few symbols and small dimensions per pair, so labels repeat within a
+    # parameter (several Arthur factors) and are shared by the two sides
+    rng = random.Random(61)
+    symbols = TABLE.symbols()
+    repeated = shared = 0
+
+    def rand_param(pool):
+        terms = [
+            ATerm(rng.choice(pool), rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 6))
+        ]
+        return AParam(terms)
+
+    for _ in range(3000):
+        pool = rng.sample(symbols, rng.randint(1, 3))
+        m, n = rand_param(pool), rand_param(pool)
+        merged = relevance._label_chains(m, n)
+        assert merged == list(label_chains_oracle(m, n).items()), (render_param(m), render_param(n))
+        repeated += any(len(cm) > 1 or len(cn) > 1 for _, (cm, cn) in merged)
+        shared += any(cm and cn for _, (cm, cn) in merged)
+    assert repeated > 1000 and shared > 1000
+
+
+def test_label_merge_refuses_two_symbols_with_one_id():
+    a = WeilSymbol("rho", 1, "orthogonal", "rho")
+    b = WeilSymbol("rho", 2, "orthogonal", "rho")
+    with pytest.raises(AparamError, match="share the id 'rho'"):
+        check_relevant(AParam([ATerm(a, 1, 2)]), AParam([ATerm(b, 1, 1)]))
+    with pytest.raises(AparamError, match="share the id 'rho'"):
+        check_relevant(AParam([ATerm(a, 1, 2), ATerm(b, 1, 1)]), AParam([]))
+    # distinct labels are never merged, so they raise nothing
+    assert check_relevant(AParam([ATerm(a, 1, 1)]), AParam([ATerm(b, 2, 1)]))
 
 
 def test_trivial_representation_chain():

@@ -19,6 +19,7 @@ from aparam.repcore import (
     delta_map,
     dual_param,
     enumerate_params,
+    parse_half,
     parse_param,
     plus_map,
     render_param,
@@ -86,6 +87,15 @@ def test_parse_errors():
         parse_param("1:D0:A1", TABLE)
     with pytest.raises(ParityError):
         parse_param("1:D1:A2", TABLE, "orthogonal")
+
+
+def test_parse_half_is_strict():
+    for v in ("1/2", "0.5", " -3/2 ", Fraction(3, 2), 2, "4/2"):
+        assert parse_half(v) == Fraction(v.strip() if isinstance(v, str) else v)
+    # a float is an approximation of what was written, and is refused
+    for v in (0.5, 1.0, "1/3", "abc", "1/0", "nan", None, [1]):
+        with pytest.raises(ParseError):
+            parse_half(v)
 
 
 def test_parse_defaults():
