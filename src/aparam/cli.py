@@ -334,7 +334,7 @@ def _cmd_enumerate(args) -> int:
     ns = list(islice(universe(args.partner_dim, partner), args.bound + 1))
     ms = []
     for item in universe(args.dim, parity):
-        if not ns:
+        if not ns:  # no rows; the first universe was still opened, to check its dimension
             break
         ms.append(item)
         if len(ms) * len(ns) > args.bound:

@@ -130,20 +130,21 @@ class NotRelevant:
         )
 
 
-def _grouped(p: AParam) -> list[tuple[tuple[str, int], WeilSymbol, dict[int, int]]]:
-    """The chains of ``p`` as ((symbol id, d), symbol, chain), in label order.
+def _grouped(p: AParam) -> list[tuple[tuple[str, int], Label, dict[int, int]]]:
+    """The chains of ``p`` as ((symbol id, d), label, chain), in label order.
 
     ``p.terms`` is sorted by (symbol id, d, a), so each label's terms are
     adjacent.
     """
     out = []
-    key = sym = links = None
+    key = lab = None
     for t in p.terms:
         w = t.weil
-        if (w.id, t.d_dim) != key:
-            key, sym, links = (w.id, t.d_dim), w, {}
-            out.append((key, sym, links))
-        elif w is not sym and w != sym:
+        k = (w.id, t.d_dim)
+        if k != key:
+            key, lab, links = k, (w, t.d_dim), {}
+            out.append((k, lab, links))
+        elif w is not lab[0] and w != lab[0]:
             raise AparamError(f"two different symbols share the id {w.id!r}")
         links[t.a_dim - 1] = t.mult
     return out
@@ -158,21 +159,24 @@ def _label_chains(m: AParam, n: AParam) -> list[tuple[Label, tuple[dict[int, int
     out = []
     i = j = 0
     while i < len(gm) and j < len(gn):
-        (km, sm, cm), (kn, sn, cn) = gm[i], gn[j]
+        km, lab, cm = gm[i]
+        kn, nlab, cn = gn[j]
         if km < kn:
-            out.append(((sm, km[1]), (cm, {})))
+            out.append((lab, (cm, {})))
             i += 1
         elif kn < km:
-            out.append(((sn, kn[1]), ({}, cn)))
+            out.append((nlab, ({}, cn)))
             j += 1
         else:
-            if sm is not sn and sm != sn:
-                raise AparamError(f"two different symbols share the id {sm.id!r}")
-            out.append(((sm, km[1]), (cm, cn)))
+            if lab[0] is not nlab[0] and lab[0] != nlab[0]:
+                raise AparamError(f"two different symbols share the id {km[0]!r}")
+            out.append((lab, (cm, cn)))
             i += 1
             j += 1
-    out.extend(((s, k[1]), (c, {})) for k, s, c in gm[i:])
-    out.extend(((s, k[1]), ({}, c)) for k, s, c in gn[j:])
+    for _, lab, cm in gm[i:]:
+        out.append((lab, (cm, {})))
+    for _, lab, cn in gn[j:]:
+        out.append((lab, ({}, cn)))
     return out
 
 
