@@ -314,11 +314,11 @@ def _cmd_enumerate(args) -> int:
 
     The payload is the one ``_emit`` would print, written one row at a time,
     so memory does not grow with the output.  The bound is checked before
-    the first byte, so an error is still the only thing on stdout: the
-    partner universe is listed until it holds more than ``--bound``
-    parameters, then the first universe until the two sizes multiply past
-    the bound.  Each parameter is rendered, and its share of the ratio's
-    denominator computed, once per call.
+    the first byte, so an error is still the only thing on stdout: once the
+    first universe has a parameter, the partner universe is listed until it
+    holds more than ``--bound`` parameters, then the first universe until
+    the two sizes multiply past the bound.  Each parameter is rendered, and
+    its share of the ratio's denominator computed, once per call.
     """
     _check_bound(args.bound)
     symtab, _ = _load_inputs(args)
@@ -331,14 +331,16 @@ def _cmd_enumerate(args) -> int:
         for p in enumerate_params(dim, symtab, par, max_mult=args.max_mult):
             yield p, json.dumps(render_param(p)), lfun._self_order(p)
 
-    ns = list(islice(universe(args.partner_dim, partner), args.bound + 1))
-    ms = []
+    ms, ns = [], None
     for item in universe(args.dim, parity):
-        if not ns:  # no rows; the first universe was still opened, to check its dimension
+        if ns is None:  # an empty first universe has no rows and lists no partners
+            ns = list(islice(universe(args.partner_dim, partner), args.bound + 1))
+        if not ns:
             break
         ms.append(item)
         if len(ms) * len(ns) > args.bound:
             raise BudgetError(f"enumeration bound {args.bound} exceeded")
+    ns = ns or []
     write = sys.stdout.write
     write(f'{{\n  "bound": {args.bound},\n  "rows": [')
     sep = "\n"
