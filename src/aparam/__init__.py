@@ -48,19 +48,13 @@ from .relevance import (
     special_pairs,
 )
 from .lfun import (
-    FormalRep,
-    alt2_formal,
     bessel_ratio_order,
     gl_hom_formula_order,
     gl_ratio_order,
     ord_at,
-    sym2_formal,
-    tensor_formal,
-    to_formal,
 )
 from .globlfun import (
     OrderExpr,
-    diagonal_block_order,
     global_block_order,
     global_ratio_order,
 )

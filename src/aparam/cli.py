@@ -41,9 +41,10 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _check_bound(bound: int) -> None:
-    if bound < 1:
-        raise ParseError(f"--bound must be positive, got {bound}")
+def _check_positive(option: str, value: int | None) -> None:
+    """A usage error unless an integer option is unset or positive."""
+    if value is not None and value < 1:
+        raise ParseError(f"{option} must be positive, got {value}")
 
 
 def _load_json(path: str) -> dict:
@@ -166,7 +167,7 @@ def _cmd_relevance_delta(args) -> int:
     Every check runs before the first byte, so an error is still the only
     thing on stdout.
     """
-    _check_bound(args.bound)
+    _check_positive("--bound", args.bound)
     _, load = _load_inputs(args)
     m = load(args.m)
     count, members = rel._delta_stream(m, args.bound)
@@ -184,23 +185,15 @@ def _cmd_lfun_ord(args) -> int:
     _, load = _load_inputs(args)
     p = load(args.param)
     s0 = repcore.parse_half(args.at)
-    order = lfun.ord_at(lfun.to_formal(p), s0)
+    order = lfun.ord_at(p, s0)
     _emit({"at": fmt_half(s0), "order": order})
     return EXIT_OK
 
 
-def _cmd_lfun_gl_ratio(args) -> int:
+def _cmd_lfun_ratio(args) -> int:
     _, load = _load_inputs(args)
     m, n = load(args.m), load(args.n)
-    num, den, signed = lfun.gl_ratio_order(m, n, detail=True)
-    _emit({"numerator_order": num, "denominator_order": den, "signed_order": signed})
-    return EXIT_OK
-
-
-def _cmd_lfun_bessel(args) -> int:
-    _, load = _load_inputs(args)
-    m, n = load(args.m), load(args.n)
-    num, den, signed = lfun.bessel_ratio_order(m, n, detail=True)
+    num, den, signed = args.ratio(m, n, detail=True)
     _emit({"numerator_order": num, "denominator_order": den, "signed_order": signed})
     return EXIT_OK
 
@@ -320,7 +313,8 @@ def _cmd_enumerate(args) -> int:
     the two sizes multiply past the bound.  Each parameter is rendered, and
     its share of the ratio's denominator computed, once per call.
     """
-    _check_bound(args.bound)
+    _check_positive("--bound", args.bound)
+    _check_positive("--max-mult", args.max_mult)
     symtab, _ = _load_inputs(args)
     parity = args.parity
     partner = {"symplectic": "orthogonal", "orthogonal": "symplectic",
@@ -504,16 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="positive half-integer, e.g. 1/2")
     add_symbols(p)
     p.set_defaults(func=_cmd_lfun_ord)
-    p = grp.add_parser("gl-ratio")
-    p.add_argument("m")
-    p.add_argument("n")
-    add_symbols(p)
-    p.set_defaults(func=_cmd_lfun_gl_ratio)
-    p = grp.add_parser("bessel-ratio")
-    p.add_argument("m")
-    p.add_argument("n")
-    add_symbols(p)
-    p.set_defaults(func=_cmd_lfun_bessel)
+    for name, ratio in (("gl-ratio", lfun.gl_ratio_order), ("bessel-ratio", lfun.bessel_ratio_order)):
+        p = grp.add_parser(name)
+        p.add_argument("m")
+        p.add_argument("n")
+        add_symbols(p)
+        p.set_defaults(func=_cmd_lfun_ratio, ratio=ratio)
 
     grp = sub.add_parser("globlfun", help="global L-order calculus").add_subparsers(
         dest="sub", required=True

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .repcore import (
     AParam,
     AparamError,
-    ParityError,
     ShapeError,
     WeilSymbol,
     alt2_sl2,
@@ -33,7 +32,6 @@ from .repcore import (
     CONJ_SYMPL,
     ORTH,
     SYMPL,
-    _SIGN,
 )
 from .relevance import endoscopic_rows
 
@@ -43,7 +41,6 @@ __all__ = [
     "global_block_order",
     "square_block_order",
     "global_ratio_order",
-    "diagonal_block_order",
 ]
 
 CuspSymbol = WeilSymbol
@@ -205,24 +202,4 @@ def global_ratio_order(m: AParam, n: AParam) -> OrderExpr:
             num += _cg_blocks(rb.weil, ra.weil, rb.m_dim, ra.n_dim, HALF)
             den += _cg_blocks(ra.weil, rb.weil, ra.m_dim, rb.m_dim, ONE)
             den += _cg_blocks(ra.weil, rb.weil, ra.n_dim, rb.n_dim, ONE)
-    return OrderExpr.total(num) - OrderExpr.total(den)
-
-
-def diagonal_block_order(v: CuspSymbol, dims: tuple[int, int]) -> OrderExpr:
-    """Order contribution of one partnered row (V (x) [b], V (x) [b']); always zero.
-
-    Exposed for unit testing of the min-count bookkeeping: the poles of the
-    tensor numerator match the poles of the two square factors exactly.
-    """
-    if not v.selfdual:
-        raise AparamError("diagonal rows carry selfdual symbols")
-    b, bp = dims
-    if abs(b - bp) != 1:
-        raise ShapeError("row dimensions must differ by one")
-    sign = _SIGN.get(v.duality)
-    if b and sign * (1 if b % 2 else -1) != -1:
-        raise ParityError("first-side block must be symplectic")
-    if bp and sign * (1 if bp % 2 else -1) != 1:
-        raise ParityError("second-side block must be orthogonal")
-    num, den = _row_order(v, b, bp, True)
     return OrderExpr.total(num) - OrderExpr.total(den)

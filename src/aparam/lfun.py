@@ -1,32 +1,31 @@
 """Local symbolic L-function calculus: pole orders at positive half-integers.
 
-A formal representation is a sum of blocks (token) (x) [a] (x) [b] where the
-token exposes only its dimension and the multiplicity of the trivial
-representation inside it.  The local factor of such a block is
+A block rho (x) [a] (x) [b] of a representation has the local factor
 
-    L(s, token (x) [a] (x) [b]) = prod_q L(s + (a-1)/2 + (b-1-2q)/2, token),
+    L(s, rho (x) [a] (x) [b]) = prod_q L(s + (a-1)/2 + (b-1-2q)/2, rho),
 
 q = 0..b-1, with the first SL2 factor contributing only its top exponent.
-A block therefore has a pole at s0 exactly when the token contains the
-trivial representation and s0 + (a+b)/2 - 1 is an integer in [0, b-1]; the
-pole is simple per trivial constituent.
+A block therefore has a pole at s0 exactly when rho contains the trivial
+representation and s0 + (a+b)/2 - 1 is an integer in [0, b-1]; the pole is
+simple per trivial constituent.
 
 With s2 = 2 s0 that reads: a block [a] (x) [b] has a pole exactly when
-s2 + a + b is even and a + s2 <= b.  The ratio orders (``gl_ratio_order``,
-``bessel_ratio_order``, ``adjoint_order``) count by that rule directly: a
+s2 + a + b is even and a + s2 <= b.  Every order here counts by that rule
+directly, in the one kernel ``_poles``.  ``ord_at`` applies it per summand
+of a parameter.  The ratio orders (``gl_ratio_order``,
+``bessel_ratio_order``, ``adjoint_order``) apply it per pair of summands: a
 tensor of two summands, or a square of one, has its SL2 dimensions on
 arithmetic progressions (step 2 for Clebsch-Gordan, step 4 for the SL2
 squares), so the parity test is made once per pair of summands and the
-number of b per a has a closed form.  Only pairs of summands whose token
-holds the trivial representation are visited.  ``FormalRep`` with
-``tensor_formal``, ``sym2_formal``, ``alt2_formal`` and ``ord_at`` build
-the blocks themselves; they serve ``aparam lfun ord`` and are the oracle
-the counts are tested against.
+number of b per a has a closed form.  Only summands, and pairs of
+summands, whose symbol part holds the trivial representation are visited.
+The block expansions themselves (tensor, symmetric and exterior squares)
+live in the test suite's ``genutil``, as the oracle the counts are tested
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .repcore import (
@@ -34,10 +33,7 @@ from .repcore import (
     ATerm,
     AparamError,
     ParityError,
-    WeilSymbol,
-    alt2_sl2,
-    clebsch_gordan,
-    sym2_sl2,
+    parse_half,
     CONJ_ORTH,
     CONJ_SYMPL,
     ORTH,
@@ -46,188 +42,12 @@ from .repcore import (
 from .relevance import NotRelevantError, check_relevant
 
 __all__ = [
-    "Token",
-    "FormalRep",
-    "to_formal",
-    "tensor_formal",
-    "sym2_formal",
-    "alt2_formal",
     "ord_at",
     "gl_ratio_order",
     "bessel_ratio_order",
     "adjoint_order",
     "gl_hom_formula_order",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class Token:
-    """An inert Weil-group building block: Symbol, TensorPair, SymSquare or AltSquare."""
-
-    kind: str  # "sym", "tensor", "sym2", "alt2"
-    first: WeilSymbol
-    second: WeilSymbol | None = None
-
-    @property
-    def dim(self) -> int:
-        d = self.first.dim
-        if self.kind == "sym":
-            return d
-        if self.kind == "tensor":
-            return d * self.second.dim
-        if self.kind == "sym2":
-            return d * (d + 1) // 2
-        if self.kind == "alt2":
-            return d * (d - 1) // 2
-        raise AparamError(f"unknown token kind {self.kind!r}")
-
-    @property
-    def trivial_mult(self) -> int:
-        """Multiplicity of the trivial Weil representation inside the token."""
-        if self.kind == "sym":
-            return 1 if self.first.is_trivial else 0
-        if self.kind == "tensor":
-            return 1 if self.second.id == self.first.dual_id else 0
-        if self.kind == "sym2":
-            return 1 if self.first.duality in (ORTH, CONJ_ORTH) and self.first.selfdual else 0
-        if self.kind == "alt2":
-            return 1 if self.first.duality in (SYMPL, CONJ_SYMPL) and self.first.selfdual else 0
-        raise AparamError(f"unknown token kind {self.kind!r}")
-
-    def sort_key(self):
-        return (self.kind, self.first.id, self.second.id if self.second else "")
-
-
-def symbol_token(s: WeilSymbol) -> Token:
-    return Token("sym", s)
-
-
-def tensor_token(a: WeilSymbol, b: WeilSymbol) -> Token:
-    return Token("tensor", a, b)
-
-
-class FormalRep:
-    """Canonically merged multiset of (token, d_dim, a_dim, mult) blocks."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        merged: dict[tuple, int] = {}
-        for tok, d, a, mult in blocks:
-            if mult == 0 or tok.dim == 0:
-                continue
-            key = (tok, d, a)
-            merged[key] = merged.get(key, 0) + mult
-        out = tuple(
-            (tok, d, a, m)
-            for (tok, d, a), m in sorted(merged.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1], kv[0][2]))
-        )
-        object.__setattr__(self, "blocks", out)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormalRep is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FormalRep) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __add__(self, other: "FormalRep") -> "FormalRep":
-        return FormalRep(self.blocks + other.blocks)
-
-    @property
-    def dim(self) -> int:
-        return sum(tok.dim * d * a * m for tok, d, a, m in self.blocks)
-
-
-def to_formal(p: AParam) -> FormalRep:
-    """View a parameter as a formal representation of Symbol blocks."""
-    return FormalRep((symbol_token(t.weil), t.d_dim, t.a_dim, t.mult) for t in p.terms)
-
-
-def ord_at(r: FormalRep, s0: Fraction | int | str) -> int:
-    """Order of the pole of the local L-factor of ``r`` at a positive half-integer.
-
-    Local factors never vanish, so the result is always >= 0; zeros arise
-    only when taking ratios.
-    """
-    s0 = Fraction(s0)
-    if s0 <= 0 or (2 * s0).denominator != 1:
-        raise AparamError(f"evaluation point must be a positive half-integer, got {s0}")
-    total = 0
-    for tok, a, b, mult in r.blocks:
-        tm = tok.trivial_mult
-        if tm == 0:
-            continue
-        q = s0 + Fraction(a + b, 2) - 1
-        if q.denominator == 1 and 0 <= q <= b - 1:
-            total += tm * mult
-    return total
-
-
-def tensor_formal(m: AParam, n: AParam) -> FormalRep:
-    """Bilinear tensor expansion; symbols pair into inert TensorPair tokens."""
-    blocks = []
-    for t in m.terms:
-        for u in n.terms:
-            tok = tensor_token(t.weil, u.weil)
-            for d in clebsch_gordan(t.d_dim, u.d_dim):
-                for a in clebsch_gordan(t.a_dim, u.a_dim):
-                    blocks.append((tok, d, a, t.mult * u.mult))
-    return FormalRep(blocks)
-
-
-def _square_single(weil: WeilSymbol, d_dim: int, a_dim: int, alt: bool):
-    """Blocks of Sym^2 (alt=False) or Alt^2 (alt=True) of a single summand."""
-    s_tok = Token("sym2", weil)
-    a_tok = Token("alt2", weil)
-    dd_s, dd_a = sym2_sl2(d_dim), alt2_sl2(d_dim)
-    aa_s, aa_a = sym2_sl2(a_dim), alt2_sl2(a_dim)
-    # Sym^2(rho (x) X (x) Y) groups by how many of the three factors are alternated.
-    if not alt:
-        combos = [(s_tok, dd_s, aa_s), (s_tok, dd_a, aa_a), (a_tok, dd_s, aa_a), (a_tok, dd_a, aa_s)]
-    else:
-        combos = [(a_tok, dd_s, aa_s), (a_tok, dd_a, aa_a), (s_tok, dd_s, aa_a), (s_tok, dd_a, aa_s)]
-    blocks = []
-    for tok, dds, aas in combos:
-        if tok.dim == 0:
-            continue
-        for d in dds:
-            for a in aas:
-                blocks.append((tok, d, a, 1))
-    return blocks
-
-
-def _square_formal(p: AParam, alt: bool) -> FormalRep:
-    blocks = []
-    terms = p.terms
-    for t in terms:
-        single = _square_single(t.weil, t.d_dim, t.a_dim, alt)
-        blocks.extend((tok, d, a, mult * t.mult) for tok, d, a, mult in single)
-        pairs = t.mult * (t.mult - 1) // 2
-        if pairs:
-            tok = tensor_token(t.weil, t.weil)
-            for d in clebsch_gordan(t.d_dim, t.d_dim):
-                for a in clebsch_gordan(t.a_dim, t.a_dim):
-                    blocks.append((tok, d, a, pairs))
-    for i, t in enumerate(terms):
-        for u in terms[i + 1 :]:
-            tok = tensor_token(t.weil, u.weil)
-            for d in clebsch_gordan(t.d_dim, u.d_dim):
-                for a in clebsch_gordan(t.a_dim, u.a_dim):
-                    blocks.append((tok, d, a, t.mult * u.mult))
-    return FormalRep(blocks)
-
-
-def sym2_formal(p: AParam) -> FormalRep:
-    """Symmetric square, with Sym^2(V^c) = Sym^2(V)^c + (V(x)V)^(c choose 2) on repeats."""
-    return _square_formal(p, alt=False)
-
-
-def alt2_formal(p: AParam) -> FormalRep:
-    """Exterior square of a formal sum."""
-    return _square_formal(p, alt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +69,23 @@ def _poles(a_top: int, na: int, b_top: int, nb: int, step: int, s2: int) -> int:
     return total
 
 
+def ord_at(p: AParam, s0: Fraction | int | str) -> int:
+    """Order of the pole of the standard local L-factor of ``p`` at a
+    positive half-integer, counted per summand.
+
+    Only a summand on the trivial symbol holds the trivial representation.
+    Local factors never vanish, so the result is always >= 0; zeros arise
+    only when taking ratios.
+    """
+    s0 = parse_half(s0)
+    if s0 <= 0:
+        raise AparamError(f"evaluation point must be a positive half-integer, got {s0}")
+    s2 = int(2 * s0)
+    return sum(
+        t.mult * _poles(t.d_dim, 1, t.a_dim, 1, 2, s2) for t in p.terms if t.weil.is_trivial
+    )
+
+
 def _cg_poles(t: ATerm, u: ATerm, s2: int) -> int:
     """Poles of the blocks of rho (x) ([t.d] (x) [u.d]) (x) ([t.a] (x) [u.a])."""
     return _poles(
@@ -258,7 +95,7 @@ def _cg_poles(t: ATerm, u: ATerm, s2: int) -> int:
 
 
 def _tensor_poles(m: AParam, n: AParam, s2: int, dual: bool = False) -> int:
-    """ord_at(tensor_formal(m, n), s2/2), or with ``n`` dualized when ``dual``."""
+    """Poles at s2/2 of the blocks of m (x) n, or of m (x) n* when ``dual``."""
     total = 0
     for t in m.terms:
         want = t.weil.id if dual else t.weil.dual_id
@@ -269,7 +106,7 @@ def _tensor_poles(m: AParam, n: AParam, s2: int, dual: bool = False) -> int:
 
 
 def _square_poles(p: AParam, alt: bool, s2: int) -> int:
-    """ord_at(alt2_formal(p) if alt else sym2_formal(p), s2/2)."""
+    """Poles at s2/2 of the blocks of Alt^2 p if ``alt``, else of Sym^2 p."""
     total = 0
     terms = p.terms
     for i, t in enumerate(terms):

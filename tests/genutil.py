@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from aparam.repcore import (
     AParam,
     ATerm,
+    AparamError,
     BudgetError,
     NotDiscreteError,
+    ParityError,
+    ShapeError,
     SymbolTable,
     WeilSymbol,
+    alt2_sl2,
     clebsch_gordan,
     delta_map,
+    sym2_sl2,
     validate_parity,
+    CONJ_ORTH,
+    CONJ_SYMPL,
+    ORTH,
+    SYMPL,
+    _SIGN,
 )
 from aparam.chars import SignTable
+from aparam.globlfun import CuspSymbol, OrderExpr, _row_order
 
 
 def build_table() -> SymbolTable:
@@ -172,6 +184,163 @@ def rand_sign_table(rng: random.Random, normalize_det_for=(), extra_ids=()):
     return SignTable(eps, det)
 
 
+# ---------------------------------------------------------------------------
+# Block expansions: the oracle of ``lfun``'s pole-counting kernel.  A formal
+# representation is a sum of blocks (token) (x) [a] (x) [b] where the token
+# exposes only its dimension and the multiplicity of the trivial
+# representation inside it; ``ord_oracle`` counts the poles of the blocks.
+
+
+@dataclass(frozen=True, order=True)
+class Token:
+    """An inert Weil-group building block: Symbol, TensorPair, SymSquare or AltSquare."""
+
+    kind: str  # "sym", "tensor", "sym2", "alt2"
+    first: WeilSymbol
+    second: WeilSymbol | None = None
+
+    @property
+    def dim(self) -> int:
+        d = self.first.dim
+        if self.kind == "sym":
+            return d
+        if self.kind == "tensor":
+            return d * self.second.dim
+        if self.kind == "sym2":
+            return d * (d + 1) // 2
+        if self.kind == "alt2":
+            return d * (d - 1) // 2
+        raise AparamError(f"unknown token kind {self.kind!r}")
+
+    @property
+    def trivial_mult(self) -> int:
+        """Multiplicity of the trivial Weil representation inside the token."""
+        if self.kind == "sym":
+            return 1 if self.first.is_trivial else 0
+        if self.kind == "tensor":
+            return 1 if self.second.id == self.first.dual_id else 0
+        if self.kind == "sym2":
+            return 1 if self.first.duality in (ORTH, CONJ_ORTH) and self.first.selfdual else 0
+        if self.kind == "alt2":
+            return 1 if self.first.duality in (SYMPL, CONJ_SYMPL) and self.first.selfdual else 0
+        raise AparamError(f"unknown token kind {self.kind!r}")
+
+    def sort_key(self):
+        return (self.kind, self.first.id, self.second.id if self.second else "")
+
+
+def symbol_token(s: WeilSymbol) -> Token:
+    return Token("sym", s)
+
+
+def tensor_token(a: WeilSymbol, b: WeilSymbol) -> Token:
+    return Token("tensor", a, b)
+
+
+class FormalRep:
+    """Canonically merged multiset of (token, d_dim, a_dim, mult) blocks."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        merged: dict[tuple, int] = {}
+        for tok, d, a, mult in blocks:
+            if mult == 0 or tok.dim == 0:
+                continue
+            key = (tok, d, a)
+            merged[key] = merged.get(key, 0) + mult
+        out = tuple(
+            (tok, d, a, m)
+            for (tok, d, a), m in sorted(merged.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1], kv[0][2]))
+        )
+        object.__setattr__(self, "blocks", out)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FormalRep is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FormalRep) and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __add__(self, other: "FormalRep") -> "FormalRep":
+        return FormalRep(self.blocks + other.blocks)
+
+    @property
+    def dim(self) -> int:
+        return sum(tok.dim * d * a * m for tok, d, a, m in self.blocks)
+
+
+def to_formal(p: AParam) -> FormalRep:
+    """View a parameter as a formal representation of Symbol blocks."""
+    return FormalRep((symbol_token(t.weil), t.d_dim, t.a_dim, t.mult) for t in p.terms)
+
+
+def tensor_formal(m: AParam, n: AParam) -> FormalRep:
+    """Bilinear tensor expansion; symbols pair into inert TensorPair tokens."""
+    blocks = []
+    for t in m.terms:
+        for u in n.terms:
+            tok = tensor_token(t.weil, u.weil)
+            for d in clebsch_gordan(t.d_dim, u.d_dim):
+                for a in clebsch_gordan(t.a_dim, u.a_dim):
+                    blocks.append((tok, d, a, t.mult * u.mult))
+    return FormalRep(blocks)
+
+
+def _square_single(weil: WeilSymbol, d_dim: int, a_dim: int, alt: bool):
+    """Blocks of Sym^2 (alt=False) or Alt^2 (alt=True) of a single summand."""
+    s_tok = Token("sym2", weil)
+    a_tok = Token("alt2", weil)
+    dd_s, dd_a = sym2_sl2(d_dim), alt2_sl2(d_dim)
+    aa_s, aa_a = sym2_sl2(a_dim), alt2_sl2(a_dim)
+    # Sym^2(rho (x) X (x) Y) groups by how many of the three factors are alternated.
+    if not alt:
+        combos = [(s_tok, dd_s, aa_s), (s_tok, dd_a, aa_a), (a_tok, dd_s, aa_a), (a_tok, dd_a, aa_s)]
+    else:
+        combos = [(a_tok, dd_s, aa_s), (a_tok, dd_a, aa_a), (s_tok, dd_s, aa_a), (s_tok, dd_a, aa_s)]
+    blocks = []
+    for tok, dds, aas in combos:
+        if tok.dim == 0:
+            continue
+        for d in dds:
+            for a in aas:
+                blocks.append((tok, d, a, 1))
+    return blocks
+
+
+def _square_formal(p: AParam, alt: bool) -> FormalRep:
+    blocks = []
+    terms = p.terms
+    for t in terms:
+        single = _square_single(t.weil, t.d_dim, t.a_dim, alt)
+        blocks.extend((tok, d, a, mult * t.mult) for tok, d, a, mult in single)
+        pairs = t.mult * (t.mult - 1) // 2
+        if pairs:
+            tok = tensor_token(t.weil, t.weil)
+            for d in clebsch_gordan(t.d_dim, t.d_dim):
+                for a in clebsch_gordan(t.a_dim, t.a_dim):
+                    blocks.append((tok, d, a, pairs))
+    for i, t in enumerate(terms):
+        for u in terms[i + 1 :]:
+            tok = tensor_token(t.weil, u.weil)
+            for d in clebsch_gordan(t.d_dim, u.d_dim):
+                for a in clebsch_gordan(t.a_dim, u.a_dim):
+                    blocks.append((tok, d, a, t.mult * u.mult))
+    return FormalRep(blocks)
+
+
+def sym2_formal(p: AParam) -> FormalRep:
+    """Symmetric square, with Sym^2(V^c) = Sym^2(V)^c + (V(x)V)^(c choose 2) on repeats."""
+    return _square_formal(p, alt=False)
+
+
+def alt2_formal(p: AParam) -> FormalRep:
+    """Exterior square of a formal sum."""
+    return _square_formal(p, alt=True)
+
+
 def ord_oracle(formal, s0) -> int:
     """Independent pole count: enumerate every L-factor shift explicitly."""
     s0 = Fraction(s0)
@@ -185,6 +354,26 @@ def ord_oracle(formal, s0) -> int:
             if s0 + shift == 0:
                 total += tm * mult
     return total
+
+
+def diagonal_block_order(v: CuspSymbol, dims: tuple[int, int]) -> OrderExpr:
+    """Order contribution of one partnered row (V (x) [b], V (x) [b']); always zero.
+
+    Checks the min-count bookkeeping of ``globlfun._row_order``: the poles
+    of the tensor numerator match the poles of the two square factors exactly.
+    """
+    if not v.selfdual:
+        raise AparamError("diagonal rows carry selfdual symbols")
+    b, bp = dims
+    if abs(b - bp) != 1:
+        raise ShapeError("row dimensions must differ by one")
+    sign = _SIGN.get(v.duality)
+    if b and sign * (1 if b % 2 else -1) != -1:
+        raise ParityError("first-side block must be symplectic")
+    if bp and sign * (1 if bp % 2 else -1) != 1:
+        raise ParityError("second-side block must be orthogonal")
+    num, den = _row_order(v, b, bp, True)
+    return OrderExpr.total(num) - OrderExpr.total(den)
 
 
 def rand_classical_relevant(rng: random.Random, max_d: int = 3):

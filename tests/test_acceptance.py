@@ -20,14 +20,7 @@ from aparam.repcore import (
     parse_param,
     render_param,
 )
-from aparam.lfun import (
-    alt2_formal,
-    bessel_ratio_order,
-    gl_hom_formula_order,
-    gl_ratio_order,
-    sym2_formal,
-    tensor_formal,
-)
+from aparam.lfun import bessel_ratio_order, gl_hom_formula_order, gl_ratio_order
 from aparam.relevance import (
     brute_force_relevant,
     check_relevant,
@@ -41,12 +34,15 @@ from aparam.chars import SignTable, alternating_characters, ggp_chi, without_gap
 from aparam.glbranch import decide_gl_branching
 from genutil import (
     TABLE,
+    alt2_formal,
     c11_stream,
     ord_oracle,
     rand_discrete_pair,
     rand_mult_free_pair,
     rand_relevant_gl,
     rand_sign_table,
+    sym2_formal,
+    tensor_formal,
 )
 
 TRIV = TABLE["1"]

@@ -6,13 +6,12 @@ import pytest
 from aparam.repcore import AParam, ATerm, AparamError, NotDiscreteError, ParityError, parse_param
 from aparam.globlfun import (
     OrderExpr,
-    diagonal_block_order,
     global_block_order,
     global_ratio_order,
     z_key,
 )
 from aparam.relevance import NotRelevantError, special_pairs
-from genutil import TABLE, rand_discrete_pair
+from genutil import TABLE, diagonal_block_order, rand_discrete_pair
 
 V = TABLE["rho2"]  # symplectic
 W = TABLE["alpha"]  # orthogonal

@@ -8,27 +8,33 @@ from aparam.repcore import (
     AParam,
     ATerm,
     AparamError,
+    ParseError,
     SymbolTable,
     WeilSymbol,
     dual_param,
+    enumerate_params,
     parse_param,
     plus_map,
     render_param,
 )
 from aparam.lfun import (
-    FormalRep,
-    Token,
-    alt2_formal,
     bessel_ratio_order,
     gl_hom_formula_order,
     gl_ratio_order,
     ord_at,
+)
+from aparam.relevance import check_relevant, ep_identities, is_relevant
+from genutil import (
+    TABLE,
+    FormalRep,
+    alt2_formal,
+    ord_oracle,
+    rand_mult_free_pair,
+    rand_relevant_gl,
     sym2_formal,
     tensor_formal,
     to_formal,
 )
-from aparam.relevance import check_relevant, ep_identities, is_relevant
-from genutil import TABLE, ord_oracle, rand_mult_free_pair, rand_relevant_gl
 
 
 def p(text, parity="gl"):
@@ -43,8 +49,7 @@ def test_pole_rule_at_half():
     # block 1 (x) [i+1] (x) [j+1] poles at 1/2 iff j > i and j = i+1 mod 2
     for i in range(0, 8):
         for j in range(0, 8):
-            r = FormalRep([(Token("sym", TABLE["1"]), i + 1, j + 1, 1)])
-            got = ord_at(r, Fraction(1, 2))
+            got = ord_at(p(f"1:D{i+1}:A{j+1}"), Fraction(1, 2))
             want = 1 if (j > i and (j - i) % 2 == 1) else 0
             assert got == want, (i, j)
 
@@ -52,34 +57,59 @@ def test_pole_rule_at_half():
 def test_pole_rule_at_one():
     for i in range(0, 8):
         for j in range(0, 8):
-            r = FormalRep([(Token("sym", TABLE["1"]), i + 1, j + 1, 1)])
-            got = ord_at(r, 1)
+            got = ord_at(p(f"1:D{i+1}:A{j+1}"), 1)
             want = 1 if (j > i and (j - i) % 2 == 0) else 0
             assert got == want, (i, j)
 
 
 def test_nontrivial_token_never_poles():
-    r = FormalRep([(Token("sym", TABLE["alpha"]), 1, 9, 3)])
+    r = p("3*alpha:D1:A9")
     assert ord_at(r, Fraction(1, 2)) == 0 and ord_at(r, 1) == 0
 
 
 def test_ord_at_rejects_bad_points():
-    r = to_formal(p("1:D1:A2"))
+    r = p("1:D1:A2")
     with pytest.raises(AparamError):
         ord_at(r, 0)
     with pytest.raises(AparamError):
         ord_at(r, Fraction(1, 3))
     with pytest.raises(AparamError):
         ord_at(r, -1)
+    # the point is read exactly: a float or an unreadable string is a ParseError
+    with pytest.raises(ParseError):
+        ord_at(r, 0.5)
+    with pytest.raises(ParseError):
+        ord_at(r, "abc")
+
+
+def test_ord_at_matches_shift_oracle_exhaustively():
+    # every gl parameter of dimension <= 5 over the shared symbols, at the
+    # first five positive half-integers, against the blocks of to_formal
+    points = [Fraction(k, 2) for k in range(1, 6)]
+    count = 0
+    for dim in range(1, 6):
+        for m in enumerate_params(dim, TABLE, "gl"):
+            f = to_formal(m)
+            for s0 in points:
+                assert ord_at(m, s0) == ord_oracle(f, s0), (render_param(m), s0)
+            count += 1
+    assert count == 3708
 
 
 def test_ord_against_shift_oracle():
+    # ord_at on each parameter, and the tensor count on m (x) n*, at the
+    # first four positive half-integers
+    from aparam.lfun import _tensor_poles
+
     rng = random.Random(8)
     for _ in range(200):
         m, n = rand_relevant_gl(rng, max_labels=3, max_dim=16)
         f = tensor_formal(m, dual_param(n))
-        for s0 in (Fraction(1, 2), 1, Fraction(3, 2), 2):
-            assert ord_at(f, s0) == ord_oracle(f, s0)
+        for s2 in (1, 2, 3, 4):
+            s0 = Fraction(s2, 2)
+            assert _tensor_poles(m, n, s2, dual=True) == ord_oracle(f, s0)
+            assert ord_at(m, s0) == ord_oracle(to_formal(m), s0)
+            assert ord_at(n, s0) == ord_oracle(to_formal(n), s0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +180,7 @@ def test_plus_map_shift_identity():
     rng = random.Random(9)
     for _ in range(200):
         m, _ = rand_relevant_gl(rng, max_labels=3, max_dim=16)
-        assert ord_at(to_formal(m), Fraction(1, 2)) == ord_at(to_formal(plus_map(m)), 1)
+        assert ord_at(m, Fraction(1, 2)) == ord_at(plus_map(m), 1)
 
 
 def test_plus_map_tempered():
@@ -311,7 +341,7 @@ def test_gl_ratio_via_plus_map_bookkeeping():
     m, n = p("1:D1:A2"), p("1:D1:A1")
     f = tensor_formal(m, dual_param(n))
     bumped = FormalRep((tok, d, a + 1, mult) for tok, d, a, mult in f.blocks)
-    assert ord_at(f, Fraction(1, 2)) == ord_at(bumped, 1) == 1
+    assert ord_oracle(f, Fraction(1, 2)) == ord_oracle(bumped, 1) == 1
     assert gl_ratio_order(m, n) == 1
 
 
@@ -332,7 +362,7 @@ def test_bessel_nonnegative_mixed_sl2_suite():
 
 def test_counting_kernel_matches_block_expansion():
     # The ratio orders count poles per pair of summands without building
-    # blocks; they must agree with ord_at and the shift oracle on the blocks.
+    # blocks; they must agree with the shift oracle on the blocks.
     from aparam.lfun import _square_poles, _tensor_poles
     from aparam.repcore import PARITIES, validate_parity
 
@@ -366,7 +396,7 @@ def test_counting_kernel_matches_block_expansion():
                 (sym2_formal(m), _square_poles(m, False, s2)),
                 (alt2_formal(m), _square_poles(m, True, s2)),
             ):
-                assert got == ord_at(f, s0) == ord_oracle(f, s0), (render_param(m), render_param(n), s2)
+                assert got == ord_oracle(f, s0), (render_param(m), render_param(n), s2)
     assert seen_line
     # repeated, 1-dimensional symplectic and mutually dual summands, pinned
     rep = AParam(
@@ -375,7 +405,7 @@ def test_counting_kernel_matches_block_expansion():
         "gl",
     )
     for s2, s0 in ((1, Fraction(1, 2)), (2, 1)):
-        assert _tensor_poles(rep, rep, s2) == ord_at(tensor_formal(rep, rep), s0)
-        assert _tensor_poles(rep, rep, s2, dual=True) == ord_at(tensor_formal(rep, dual_param(rep)), s0)
-        assert _square_poles(rep, False, s2) == ord_at(sym2_formal(rep), s0)
-        assert _square_poles(rep, True, s2) == ord_at(alt2_formal(rep), s0)
+        assert _tensor_poles(rep, rep, s2) == ord_oracle(tensor_formal(rep, rep), s0)
+        assert _tensor_poles(rep, rep, s2, dual=True) == ord_oracle(tensor_formal(rep, dual_param(rep)), s0)
+        assert _square_poles(rep, False, s2) == ord_oracle(sym2_formal(rep), s0)
+        assert _square_poles(rep, True, s2) == ord_oracle(alt2_formal(rep), s0)

@@ -323,21 +323,21 @@ def test_package_exports_pinned():
     }
     assert names == {
         "AParam", "ATerm", "AparamError", "BudgetError", "CharacterAssignment",
-        "FormalRep", "GLFactor", "GLProduct", "HypothesisViolated", "LParam",
+        "GLFactor", "GLProduct", "HypothesisViolated", "LParam",
         "NotDiscreteError", "NotRelevant", "NotRelevantError", "OrderExpr",
         "ParityError", "ParseError", "Partition", "RelevanceWitness", "ShapeError",
         "SignTable", "SignTableError", "SymbolError", "SymbolTable", "TRIVIAL",
-        "WeilSymbol", "a_to_l", "alt2_formal", "alternating_characters",
+        "WeilSymbol", "a_to_l", "alternating_characters",
         "arthur_character", "automorphy_test", "bessel_ratio_order",
         "brute_force_relevant", "check_relevant", "clebsch_gordan",
         "correlator_witness", "decide_gl_branching", "delta_class_search", "delta_map",
-        "derivative_supports", "diagonal_block_order", "dual_param", "endoscopic_rows",
+        "derivative_supports", "dual_param", "endoscopic_rows",
         "enumerate_params", "ep_identities", "eps_block", "factorization_check",
         "gg_global_character", "ggp_character", "ggp_chi", "gl_hom_formula_order",
         "gl_ratio_order", "global_block_order", "global_ratio_order", "is_alternating",
         "is_relevant", "ord_at", "parse_param", "parse_product", "plus_map",
         "predict_multiplicity", "product_from_aparam", "render_param", "special_pairs",
-        "supercuspidal_support", "support", "support_match", "swap_sl2", "sym2_formal",
-        "tensor_formal", "to_formal", "validate_parity", "venkatesh_partition",
+        "supercuspidal_support", "support", "support_match", "swap_sl2",
+        "validate_parity", "venkatesh_partition",
         "without_gaps",
     }
