@@ -40,7 +40,6 @@ from .relevance import (
     RelevanceWitness,
     brute_force_relevant,
     check_relevant,
-    correlator_witness,
     delta_class_search,
     endoscopic_rows,
     ep_identities,
@@ -80,11 +79,9 @@ from .glbranch import (
     HypothesisViolated,
     decide_gl_branching,
     derivative_supports,
-    factorization_check,
     parse_product,
     product_from_aparam,
     support,
-    support_match,
 )
 
 __version__ = "0.1.0"

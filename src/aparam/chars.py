@@ -346,21 +346,20 @@ def arthur_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssignm
     return CharacterAssignment.of(out)
 
 
-def _gg_character(m: AParam, n: AParam, table: SignTable, witness=None) -> CharacterAssignment:
+def gg_global_character(
+    m: AParam, n: AParam, table: SignTable, witness: RelevanceWitness | None = None
+) -> CharacterAssignment:
+    """The distinguished character transported to the same bases.
+
+    Nonzero products appear only on the I-rows' first side and the J-rows'
+    second side; the other two families are identically +1.  A given
+    relevance ``witness`` of the pair spares a second descent.
+    """
     out = {}
     for row, key, _, others in _families(m, n, witness):
         full = row.in_i == (key[0] == "M")
         out[key] = _restricted_eps(row, [o for o, _ in others], table) if full else 1
     return CharacterAssignment.of(out)
-
-
-def gg_global_character(m: AParam, n: AParam, table: SignTable) -> CharacterAssignment:
-    """The distinguished character transported to the same bases.
-
-    Nonzero products appear only on the I-rows' first side and the J-rows'
-    second side; the other two families are identically +1.
-    """
-    return _gg_character(m, n, table)
 
 
 def automorphy_test(m: AParam, n: AParam, table: SignTable) -> dict:
@@ -407,4 +406,4 @@ def predict_multiplicity(m: AParam, n: AParam, table: SignTable) -> dict:
         return {"d": 1, "character": None}
     if m.is_tempered() and n.is_tempered():
         return {"d": 1, "character": ggp_character(m, n, table)}
-    return {"d": 1, "character": _gg_character(m, n, table, verdict)}
+    return {"d": 1, "character": gg_global_character(m, n, table, verdict)}

@@ -1,8 +1,11 @@
 """Command-line front end: JSON in, deterministic JSON out.
 
 Exit codes separate mathematical verdicts from failures: 0 for a positive
-result, 2 for a clean mathematical "no" (irrelevant pair, failed match,
-non-automorphic character), 1 for parse or usage errors.
+result, 1 for parse or usage errors, and 2 for a clean mathematical "no": an
+irrelevant pair (``relevance check``, or a batch with no relevant candidate),
+a zero or inconclusive ``glbranch decide``, a non-automorphic pair, no
+supercuspidal character from ``chars supercuspidal``, and ``d = 0`` from
+``chars predict``.
 """
 
 from __future__ import annotations
@@ -533,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = grp.add_parser("supercuspidal")
     p.add_argument("m")
     p.add_argument("--alpha", help="character JSON file; omit to enumerate")
-    p.add_argument("--signs", help="unused; accepted for uniformity")
     add_symbols(p)
     p.set_defaults(func=_cmd_chars_supercuspidal)
 

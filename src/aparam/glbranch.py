@@ -30,7 +30,6 @@ from .repcore import (
     AParam,
     AparamError,
     ParseError,
-    ShapeError,
     SymbolTable,
     WeilSymbol,
     parse_half,
@@ -46,9 +45,6 @@ __all__ = [
     "support",
     "derivative_products",
     "derivative_supports",
-    "support_match",
-    "MatchResult",
-    "factorization_check",
     "product_from_aparam",
     "decide_gl_branching",
     "parse_product",
@@ -225,113 +221,6 @@ def derivative_products(p: GLProduct, k: int) -> set[GLProduct]:
 def derivative_supports(p: GLProduct, k: int) -> set:
     """Cuspidal supports of the composition factors of the k-th derivative."""
     return {_support_key(q) for q in derivative_products(p, k)}
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    matched: bool
-    pairs: tuple[tuple[GLFactor, GLFactor], ...] = ()
-    witness: tuple[str, Fraction] | None = None  # (line, extremal exponent)
-
-
-def _classify_for_match(v: GLProduct, w: GLProduct):
-    """Split factors into the two template shapes, checking the hypotheses.
-
-    First product: plain factors [a] at twist 0 and factors at positive
-    twists e/2.  Second product: plain factors, factors at twist exactly
-    1/2, and factors at negative twists -f/2.  L-factors are compared
-    through their segments, so the kinds are ignored here.
-    """
-    va, vb = [], []
-    for f in v.factors:
-        if f.twist == 0:
-            va.append(f)
-        elif f.twist > 0:
-            vb.append(f)
-        else:
-            raise HypothesisViolated(f"first product has a negative twist: {f!r}")
-    wc, wd, wg = [], [], []
-    for f in w.factors:
-        if f.twist == 0:
-            wc.append(f)
-        elif f.twist == Fraction(1, 2):
-            wd.append(f)
-        elif f.twist < 0:
-            wg.append(f)
-        else:
-            raise HypothesisViolated(f"second product has twist {f.twist} > 1/2: {f!r}")
-    # hypothesis on the first product: a_i + 1 != b_j + e_j - 1 whenever e_j > 1
-    for fa in va:
-        for fb in vb:
-            e = 2 * fb.twist
-            if e > 1 and fa.line == fb.line and fa.length + 1 == fb.length + e - 1:
-                raise HypothesisViolated(
-                    f"length clash {fa!r} against {fb!r} on the first side"
-                )
-    # hypothesis on the second product: d_i + 1 != g_j + f_j
-    for fd in wd:
-        for fg in wg:
-            fexp = -2 * fg.twist
-            if fd.line == fg.line and fd.length + 1 == fg.length + fexp:
-                raise HypothesisViolated(
-                    f"length clash {fd!r} against {fg!r} on the second side"
-                )
-    return va, vb, wc, wd, wg
-
-
-def support_match(v: GLProduct, w: GLProduct) -> MatchResult:
-    """Decide support equality for the two template shapes and match factors.
-
-    On equal supports the conclusions are asserted: every positive twist on
-    the first side is exactly 1/2, the negatively twisted family on the
-    second side is empty, and the factor multisets agree (the matching is
-    the factor bijection).  On unequal supports the witness is the largest
-    exponent present on exactly one side of some line.
-    """
-    _classify_for_match(v, w)
-    sv, sw = support(v), support(w)
-    if sv != sw:
-        witness = None
-        for line in sorted(set(sv) | set(sw)):
-            diff = (sv.get(line, Counter()) - sw.get(line, Counter())) + (
-                sw.get(line, Counter()) - sv.get(line, Counter())
-            )
-            if diff:
-                x = max(diff)
-                if witness is None or x > witness[1]:
-                    witness = (line, x)
-        return MatchResult(False, witness=witness)
-    for f in v.factors:
-        if f.twist not in (0, Fraction(1, 2)):
-            raise AparamError(f"matched supports force twist 1/2, found {f!r}")
-    for f in w.factors:
-        if f.twist < 0:
-            raise AparamError(f"matched supports force an empty negative family: {f!r}")
-    lhs = Counter((f.line.id, f.length, f.twist) for f in v.factors)
-    rhs = Counter((f.line.id, f.length, f.twist) for f in w.factors)
-    if lhs != rhs:
-        raise AparamError("equal supports with distinct factor multisets in template shape")
-    pairs = []
-    used = list(w.factors)
-    for f in v.factors:
-        for g in used:
-            if (g.line.id, g.length, g.twist) == (f.line.id, f.length, f.twist):
-                pairs.append((f, g))
-                used.remove(g)
-                break
-    return MatchResult(True, pairs=tuple(pairs))
-
-
-def factorization_check(v: GLProduct) -> tuple:
-    """Canonical factor multiset for the irreducible mixed-product shape.
-
-    Factors must sit at twists 0 or 1/2; two products are isomorphic exactly
-    when their canonical lists coincide (segments and Steinbergs are prime).
-    """
-    for f in v.factors:
-        if f.twist not in (0, Fraction(1, 2)):
-            raise ShapeError(f"factor {f!r} is outside the comparison shape")
-    return tuple((f.line.id, f.kind, f.length, f.twist) for f in v.factors)
 
 
 # ---------------------------------------------------------------------------

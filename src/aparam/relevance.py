@@ -54,8 +54,6 @@ __all__ = [
     "endoscopic_rows",
     "SpecialPair",
     "special_pairs",
-    "correlator_witness",
-    "CorrelatorWitness",
     "delta_class_search",
 ]
 
@@ -378,74 +376,6 @@ def special_pairs(m: AParam, n: AParam) -> list[SpecialPair]:
             if (ri.m_dim, ri.n_dim) == (rj.n_dim, rj.m_dim):
                 out.append(SpecialPair(ri, rj))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Correlator
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    """A surjection V_i^{sign} (x) t_i^a  ->  W_{i+-1} (x) t^{a+1} of the given rank."""
-
-    label: Label
-    src_index: int
-    src_sign: str
-    src_grade: int
-    dst_index: int
-    dst_grade: int
-    rank: int
-
-
-@dataclass(frozen=True)
-class KernelPiece:
-    label: Label
-    index: int
-    grade: int
-    mult: int
-
-
-@dataclass(frozen=True)
-class CorrelatorWitness:
-    """Graded map data for a degree-1 map T with T*T = e and TT* = e'."""
-
-    mode: str  # "bilinear" or "gl-doubled"
-    maps: tuple[GradedMap, ...]
-    kernel: tuple[KernelPiece, ...]
-    zero: bool  # True when both nilpotents vanish and T = 0 works
-
-
-def correlator_witness(m: AParam, n: AParam) -> CorrelatorWitness | NotRelevant:
-    """Build the graded correlator data from the relevance witness.
-
-    Exists exactly when the pair is relevant.  For a pair of classical
-    parameters the parities must be opposite; a pair of gl parameters is
-    handled through the doubled construction, with the same graded data.
-    """
-    if m.parity == "gl" and n.parity == "gl":
-        mode = "gl-doubled"
-    elif m.parity != "gl" and n.parity != "gl" and _SIGN[m.parity] != _SIGN[n.parity]:
-        mode = "bilinear"
-    else:
-        raise ParityError("need two gl parameters or opposite classical parities")
-    w = check_relevant(m, n)
-    if not w:
-        return w
-    maps = []
-    kernel = []
-    for lab, lw in w.labels:
-        size = len(lw.mplus)
-        for i in range(size):
-            plus, minus = lw.mplus[i], lw.mminus[i]
-            if plus:
-                for a in range(-i, i + 1, 2):
-                    maps.append(GradedMap(lab, i, "+", a, i + 1, a + 1, plus))
-            if minus:
-                for a in range(-i, i - 1, 2):
-                    maps.append(GradedMap(lab, i, "-", a, i - 1, a + 1, minus))
-                kernel.append(KernelPiece(lab, i, i, minus))
-    zero = m.is_tempered() and n.is_tempered()
-    return CorrelatorWitness(mode, tuple(maps), tuple(kernel), zero)
 
 
 # ---------------------------------------------------------------------------

@@ -534,11 +534,12 @@ def parse_half(v) -> Fraction:
     """Accept Fractions, ints, and 'p/q' or exact decimal strings such as '0.5'.
 
     A float is refused with ParseError: inputs are exact, and a float holds
-    a binary approximation of what was written.
+    a binary approximation of what was written.  So is a bool, which Python
+    counts as an int but which names no point.
     """
     if isinstance(v, Fraction):
         x = v
-    elif isinstance(v, int):
+    elif isinstance(v, int) and not isinstance(v, bool):
         x = Fraction(v)
     elif isinstance(v, str):
         try:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from aparam.repcore import AParam, ATerm, AparamError, ShapeError, SymbolTable, WeilSymbol, parse_param
+from aparam.repcore import AParam, ATerm, AparamError, SymbolTable, WeilSymbol, parse_param
 from aparam.glbranch import (
     GLFactor,
     GLProduct,
@@ -15,11 +15,9 @@ from aparam.glbranch import (
     decide_gl_branching,
     derivative_products,
     derivative_supports,
-    factorization_check,
     parse_product,
     product_from_aparam,
     support,
-    support_match,
 )
 from aparam.relevance import brute_force_relevant, is_relevant
 from genutil import TABLE, c11_stream, derivative_walk_oracle, walk_bucket
@@ -90,76 +88,6 @@ def test_derivative_rules():
     assert outs == set()  # one step only for segments
     outs = derivative_products(prod(St(2)), 2)
     assert outs == {GLProduct([])}
-
-
-# ---------------------------------------------------------------------------
-# support matching
-
-
-def test_support_match_positive():
-    v = prod(Z(2), Z(3, HALF))
-    w = prod(Z(2), Z(3, HALF))
-    res = support_match(v, w)
-    assert res.matched and len(res.pairs) == 2
-
-
-def test_support_match_witness():
-    v = prod(Z(2))
-    w = prod(Z(1, HALF), Z(1, HALF))
-    res = support_match(v, w)
-    assert not res.matched
-    line, x = res.witness
-    assert line == "1" and x == HALF
-
-
-def test_support_match_hypothesis_family_one():
-    # [a] x nu[a]  against  nu^(1/2)[a+1] x nu^(1/2)[a-1]: equal supports but the
-    # first-side hypothesis fails
-    a = 3
-    v = prod(Z(a), Z(a, 1))
-    w = prod(Z(a + 1, HALF), Z(a - 1, HALF))
-    assert support(v) == support(w)
-    with pytest.raises(HypothesisViolated):
-        support_match(v, w)
-
-
-def test_support_match_hypothesis_family_two():
-    # [n]  against  nu^(1/2)[n-1] x nu^(-(n-1)/2): equal supports but the
-    # second-side hypothesis fails
-    n = 4
-    v = prod(Z(n))
-    w = prod(Z(n - 1, HALF), Z(1, Fraction(-(n - 1), 2)))
-    assert support(v) == support(w)
-    with pytest.raises(HypothesisViolated):
-        support_match(v, w)
-
-
-# ---------------------------------------------------------------------------
-# factorization comparison
-
-
-def test_factorization_permutation():
-    a = factorization_check(prod(Z(2), Z(3, HALF)))
-    b = factorization_check(prod(Z(3, HALF), Z(2)))
-    assert a == b
-    c = factorization_check(prod(St(2), Z(2)))
-    d = factorization_check(prod(Z(2), St(2)))
-    assert c == d
-
-
-def test_factorization_distinguishes():
-    a = factorization_check(prod(Z(2), Z(2)))
-    b = factorization_check(prod(Z(3), Z(1)))
-    assert a != b
-
-
-def test_factorization_st1_is_z1():
-    assert factorization_check(prod(St(1))) == factorization_check(prod(Z(1)))
-
-
-def test_factorization_shape():
-    with pytest.raises(ShapeError):
-        factorization_check(prod(Z(2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,35 +199,6 @@ def test_parse_product():
     assert p == prod(St(2), Z(2, HALF))
     q = parse_product("Z3@-1/2:rho2 x Z1", SymbolTable([TABLE["rho2"]]))
     assert q.factors[1].line.id == "rho2" or q.factors[0].line.id == "rho2"
-
-
-def test_support_match_randomized_templates():
-    # matched templates: plain factors plus a half-twisted family on each side,
-    # equal as multisets; the matching must pair factors one-to-one.  A mutated
-    # copy with one extended factor must produce a witness, not a match.
-    rng = random.Random(42)
-    for _ in range(100):
-        plain = [Z(rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
-        halved = [Z(rng.randint(1, 5), HALF) for _ in range(rng.randint(0, 3))]
-        if not plain and not halved:
-            continue
-        v = GLProduct(plain + halved)
-        w = GLProduct(plain + halved)
-        res = support_match(v, w)
-        assert res.matched and len(res.pairs) == len(v.factors)
-        assert all(
-            (a.line.id, a.length, a.twist) == (b.line.id, b.length, b.twist)
-            for a, b in res.pairs
-        )
-        bumped = GLProduct(plain + halved + [Z(9, HALF)])
-        try:
-            res2 = support_match(v, bumped)
-        except HypothesisViolated:
-            continue
-        assert not res2.matched and res2.witness is not None
-        line, x = res2.witness
-        sup_v, sup_w = support(v), support(bumped)
-        assert sup_v.get(line, Counter())[x] != sup_w.get(line, Counter())[x]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from aparam.relevance import (
     NotRelevant,
     brute_force_relevant,
     check_relevant,
-    correlator_witness,
     delta_class_search,
     ep_identities,
     is_relevant,
@@ -205,44 +204,6 @@ def test_special_pairs_same_sign_excluded():
     m, n = make_pair([ATerm(V, 1, 3), ATerm(W, 1, 2)], [ATerm(V, 1, 2), ATerm(W, 1, 1)])
     assert is_relevant(m, n)
     assert special_pairs(m, n) == []
-
-
-# ---------------------------------------------------------------------------
-# correlator
-
-
-def test_correlator_tempered_zero_map():
-    m = p("rho2:D1:A1", "symplectic")
-    n = p("alpha:D1:A1 + beta:D1:A1", "orthogonal")
-    w = correlator_witness(m, n)
-    assert w.zero and not w.maps
-    assert sum(k.mult for k in w.kernel) == 1  # the whole first side sits in the kernel
-
-
-def test_correlator_kernel_line():
-    m = AParam([ATerm(TABLE["1"], 1, 2)], "symplectic")
-    n = AParam([ATerm(TABLE["1"], 1, 1), ATerm(TABLE["beta"], 1, 1)], "orthogonal")
-    w = correlator_witness(m, n)
-    assert not w.zero
-    kern = [k for k in w.kernel if k.label[0].id == "1"]
-    assert len(kern) == 1 and kern[0].index == 1 and kern[0].grade == 1
-    # the minus part maps one grade down
-    assert any(g.src_sign == "-" and g.dst_index == 0 for g in w.maps)
-
-
-def test_correlator_iff_relevant():
-    rng = random.Random(5)
-    for _ in range(60):
-        m, n = rand_mult_free_pair(rng)
-        got = correlator_witness(m, n)
-        assert bool(getattr(got, "relevant", True)) == is_relevant(m, n)
-
-
-def test_correlator_gl_doubled_mode():
-    m = p("1:D1:A2")
-    n = p("1:D1:A1")
-    w = correlator_witness(m, n)
-    assert w.mode == "gl-doubled"
 
 
 # ---------------------------------------------------------------------------

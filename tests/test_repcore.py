@@ -92,8 +92,8 @@ def test_parse_errors():
 def test_parse_half_is_strict():
     for v in ("1/2", "0.5", " -3/2 ", Fraction(3, 2), 2, "4/2"):
         assert parse_half(v) == Fraction(v.strip() if isinstance(v, str) else v)
-    # a float is an approximation of what was written, and is refused
-    for v in (0.5, 1.0, "1/3", "abc", "1/0", "nan", None, [1]):
+    # a float is an approximation of what was written, and is refused; so is a bool
+    for v in (0.5, 1.0, "1/3", "abc", "1/0", "nan", None, [1], True, False):
         with pytest.raises(ParseError):
             parse_half(v)
 
@@ -330,14 +330,24 @@ def test_package_exports_pinned():
         "WeilSymbol", "a_to_l", "alternating_characters",
         "arthur_character", "automorphy_test", "bessel_ratio_order",
         "brute_force_relevant", "check_relevant", "clebsch_gordan",
-        "correlator_witness", "decide_gl_branching", "delta_class_search", "delta_map",
+        "decide_gl_branching", "delta_class_search", "delta_map",
         "derivative_supports", "dual_param", "endoscopic_rows",
-        "enumerate_params", "ep_identities", "eps_block", "factorization_check",
+        "enumerate_params", "ep_identities", "eps_block",
         "gg_global_character", "ggp_character", "ggp_chi", "gl_hom_formula_order",
         "gl_ratio_order", "global_block_order", "global_ratio_order", "is_alternating",
         "is_relevant", "ord_at", "parse_param", "parse_product", "plus_map",
         "predict_multiplicity", "product_from_aparam", "render_param", "special_pairs",
-        "supercuspidal_support", "support", "support_match", "swap_sl2",
+        "supercuspidal_support", "support", "swap_sl2",
         "validate_parity", "venkatesh_partition",
         "without_gaps",
     }
+
+
+def test_module_exports_resolve():
+    # a deletion that leaves a stale __all__ entry must fail here, not at a user's import
+    import importlib
+
+    for mod in ("repcore", "relevance", "lfun", "globlfun", "chars", "glbranch"):
+        module = importlib.import_module(f"aparam.{mod}")
+        assert [k for k in module.__all__ if not hasattr(module, k)] == [], mod
+        exec(f"from aparam.{mod} import *", {})
